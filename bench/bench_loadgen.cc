@@ -1,9 +1,9 @@
 // Open-loop, Zipf-skewed load harness: the tail-latency program's
 // measurement layer.
 //
-// bench_httpd_loopback is closed-loop: each client waits for its response
-// before sending the next request, so when the server slows down the
-// offered load politely slows down with it and queueing delay never shows
+// A closed-loop client (this harness's own calibration phase) waits for
+// each response before sending the next request, so when the server slows
+// down the offered load politely slows down with it and queueing delay never shows
 // up in the numbers (coordinated omission). This harness measures what a
 // population of independent users would see:
 //

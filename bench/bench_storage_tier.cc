@@ -2,7 +2,7 @@
 // encodings, measured end to end ("process start" to "first question
 // answered").
 //
-//  - size:      v2 legacy vs v3 raw vs v3 compressed container bytes
+//  - size:      raw vs compressed container bytes
 //  - cold start: raw-read vs raw-mmap vs compressed, each in a fresh child
 //    process (fork+exec of this binary) so VmHWM and the load cost are not
 //    polluted by the parent's world-building. Per mode the child loads the
@@ -176,19 +176,20 @@ int main(int argc, char** argv) {
   struct Variant {
     const char* name;
     store::SnapshotWriteOptions options;
-    const char* load_mode;  // nullptr: size-only (legacy container)
+    const char* load_mode;
   };
-  const Variant kVariants[] = {
-      {"v2-legacy", {.version = 2, .compress = false}, nullptr},
-      {"raw-read", {.version = 3, .compress = false}, "read"},
-      {"raw-mmap", {.version = 3, .compress = false}, "mmap"},
-      {"compressed", {.version = 3, .compress = true}, "read"},
+  // raw-read and raw-mmap load the same raw container two ways.
+  constexpr size_t kRaw = 0, kRawMmap = 1, kCompressed = 2, kNumVariants = 3;
+  const Variant kVariants[kNumVariants] = {
+      {"raw-read", {.compress = false}, "read"},
+      {"raw-mmap", {.compress = false}, "mmap"},
+      {"compressed", {.compress = true}, "read"},
   };
 
-  size_t bytes_by_variant[4] = {};
-  std::string path_by_variant[4];
-  store::SnapshotStats stats_by_variant[4];
-  for (size_t i = 0; i < 4; ++i) {
+  size_t bytes_by_variant[kNumVariants] = {};
+  std::string path_by_variant[kNumVariants];
+  store::SnapshotStats stats_by_variant[kNumVariants];
+  for (size_t i = 0; i < kNumVariants; ++i) {
     const Variant& v = kVariants[i];
     path_by_variant[i] = TempPath((std::string("bench_storage_tier.") +
                                    v.name + ".snap").c_str());
@@ -207,37 +208,34 @@ int main(int argc, char** argv) {
 
   std::printf("\n%-12s %10s %10s %10s %10s %10s\n", "container", "graph",
               "sigs", "entities", "dict", "stats");
-  for (size_t i = 0; i < 4; ++i) {
-    if (i == 2) continue;
+  for (size_t i : {kRaw, kCompressed}) {
     const store::SnapshotStats& s = stats_by_variant[i];
     std::printf("%-12s %10zu %10zu %10zu %10zu %10zu\n", kVariants[i].name,
                 s.graph_bytes, s.signature_bytes, s.entity_index_bytes,
                 s.dictionary_bytes, s.stats_bytes);
   }
 
-  std::printf("\n%-12s %12s %10s\n", "container", "bytes", "vs v2");
-  for (size_t i = 0; i < 4; ++i) {
-    if (i == 2) continue;  // raw-mmap shares the raw container
+  std::printf("\n%-12s %12s %10s\n", "container", "bytes", "vs raw");
+  for (size_t i : {kRaw, kCompressed}) {
     std::printf("%-12s %12zu %9.2fx\n", kVariants[i].name, bytes_by_variant[i],
-                static_cast<double>(bytes_by_variant[0]) /
+                static_cast<double>(bytes_by_variant[kRaw]) /
                     bytes_by_variant[i]);
   }
   bench::JsonLine("storage_tier_size")
       .Field("triples", world.kb.graph.NumTriples())
-      .Field("v2_bytes", bytes_by_variant[0])
-      .Field("v3_raw_bytes", bytes_by_variant[1])
-      .Field("v3_compressed_bytes", bytes_by_variant[3])
+      .Field("v3_raw_bytes", bytes_by_variant[kRaw])
+      .Field("v3_compressed_bytes", bytes_by_variant[kCompressed])
       .Field("compression_ratio",
-             static_cast<double>(bytes_by_variant[0]) / bytes_by_variant[3])
+             static_cast<double>(bytes_by_variant[kRaw]) /
+                 bytes_by_variant[kCompressed])
       .Emit();
 
   std::printf("\n%-12s %10s %12s %10s %12s\n", "mode", "load ms",
               "first-ans ms", "total ms", "vm_hwm kb");
   uint64_t expected_hash = 0;
   double read_first_ms = 0, mmap_first_ms = 0;
-  for (size_t i = 0; i < 4; ++i) {
+  for (size_t i = 0; i < kNumVariants; ++i) {
     const Variant& v = kVariants[i];
-    if (v.load_mode == nullptr) continue;
     ColdStart r =
         RunChild(argv[0], v.load_mode, path_by_variant[i], questions_path);
     if (expected_hash == 0) {
@@ -250,8 +248,8 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(expected_hash));
       return 1;
     }
-    if (std::strcmp(v.name, "raw-read") == 0) read_first_ms = r.first_answer_ms;
-    if (std::strcmp(v.name, "raw-mmap") == 0) mmap_first_ms = r.first_answer_ms;
+    if (i == kRaw) read_first_ms = r.first_answer_ms;
+    if (i == kRawMmap) mmap_first_ms = r.first_answer_ms;
     std::printf("%-12s %10.2f %12.2f %10.2f %12zu\n", v.name, r.load_ms,
                 r.first_answer_ms, r.total_ms, r.vm_hwm_kb);
     bench::JsonLine("storage_tier_cold_start")
@@ -269,7 +267,7 @@ int main(int argc, char** argv) {
   std::printf("mmap first answer %.2f ms vs bulk read %.2f ms\n",
               mmap_first_ms, read_first_ms);
 
-  for (size_t i = 0; i < 4; ++i) std::remove(path_by_variant[i].c_str());
+  for (const std::string& path : path_by_variant) std::remove(path.c_str());
   std::remove(questions_path.c_str());
   return 0;
 }

@@ -30,9 +30,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <limits>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "datagen/kb_generator.h"
@@ -40,8 +40,6 @@
 #include "nlp/lexicon.h"
 #include "paraphrase/dictionary_builder.h"
 #include "server/qa_service.h"
-#include "server/shard_worker.h"
-#include "store/sharded_kb.h"
 #include "store/snapshot.h"
 
 using namespace ganswer;
@@ -86,32 +84,19 @@ int BuildDemoSnapshot(const std::string& path) {
   return 0;
 }
 
-// Reuses an existing sharded KB next to the snapshot when its manifest
-// matches the requested layout, else partitions and writes one.
-StatusOr<store::ShardManifest> EnsureShards(const std::string& snapshot_path,
-                                            uint32_t num_shards,
-                                            uint32_t halo_hops) {
-  const std::string manifest_path = store::ShardManifestPath(snapshot_path);
-  if (auto existing = store::ReadShardManifest(manifest_path);
-      existing.ok() && existing->num_shards == num_shards &&
-      existing->halo_hops == halo_hops) {
-    bool all_present = true;
-    for (const store::ShardInfo& shard : existing->shards) {
-      if (::access(shard.path.c_str(), R_OK) != 0) all_present = false;
-    }
-    if (all_present) return existing;
+// Parses a whole decimal flag value into [min, max]. Unlike atoi, empty
+// input, trailing characters ("8o80") and out-of-range numbers are errors
+// instead of silently becoming 0 or a truncated value.
+bool ParseIntFlag(const char* text, long min, long max, long* out) {
+  errno = 0;
+  char* end = nullptr;
+  long value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < min ||
+      value > max) {
+    return false;
   }
-  nlp::Lexicon lexicon;
-  auto snapshot = store::ReadSnapshotFile(snapshot_path, &lexicon);
-  if (!snapshot.ok()) return snapshot.status();
-  store::ShardSpec spec;
-  spec.num_shards = num_shards;
-  spec.halo_hops = halo_hops;
-  std::printf("partitioning %llu triples into %u shard(s), halo %u ...\n",
-              static_cast<unsigned long long>(snapshot->graph->NumTriples()),
-              num_shards, halo_hops);
-  return store::WriteShardedKb(*snapshot->graph, *snapshot->dictionary,
-                               snapshot_path, spec);
+  *out = value;
+  return true;
 }
 
 int Usage(const char* argv0) {
@@ -121,14 +106,11 @@ int Usage(const char* argv0) {
       "          [--pin-workers]\n"
       "          [--max-queue N] [--deadline-ms N] [--no-fast-path]\n"
       "          [--cache N] [--idle-timeout-ms N] [--mmap]\n"
-      "          [--shards N] [--halo-hops H] [--shard-timeout-ms N]\n"
       "          [--live DIR [--compact-threshold N]]\n"
-      "       %s --snapshot FILE --build-shards --shards N [--halo-hops H]\n"
       "       %s --build-demo-snapshot FILE\n"
       "--live serves a live store at DIR (bootstrapped from --snapshot on\n"
-      "first start) and accepts streaming updates on POST /update;\n"
-      "incompatible with --shards.\n",
-      argv0, argv0, argv0);
+      "first start) and accepts streaming updates on POST /update.\n",
+      argv0, argv0);
   return 2;
 }
 
@@ -136,117 +118,62 @@ int Usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   server::QaService::Options options;
-  int num_shards = 0;
-  uint32_t halo_hops = store::ShardSpec{}.halo_hops;
-  bool build_shards_only = false;
+  // Numeric flags: int fields take any int (range checks, such as the
+  // port's, belong to the service); size fields must not be negative.
+  const long kIntMin = std::numeric_limits<int>::min();
+  const long kIntMax = std::numeric_limits<int>::max();
+  const long kSizeMax = std::numeric_limits<long>::max();
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--snapshot") == 0 && i + 1 < argc) {
+    const char* flag = argv[i];
+    auto number = [&](auto* field, long min, long max) {
+      long value = 0;
+      if (!ParseIntFlag(argv[++i], min, max, &value)) {
+        std::fprintf(stderr,
+                     "%s: expected an integer in [%ld, %ld], got '%s'\n",
+                     flag, min, max, argv[i]);
+        return false;
+      }
+      *field = static_cast<std::remove_pointer_t<decltype(field)>>(value);
+      return true;
+    };
+    bool ok = true;
+    if (std::strcmp(flag, "--snapshot") == 0 && i + 1 < argc) {
       options.snapshot_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      options.port = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--address") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--port") == 0 && i + 1 < argc) {
+      ok = number(&options.port, kIntMin, kIntMax);
+    } else if (std::strcmp(flag, "--address") == 0 && i + 1 < argc) {
       options.bind_address = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      options.threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--pin-workers") == 0) {
+    } else if (std::strcmp(flag, "--threads") == 0 && i + 1 < argc) {
+      ok = number(&options.threads, kIntMin, kIntMax);
+    } else if (std::strcmp(flag, "--pin-workers") == 0) {
       options.pin_workers = true;
-    } else if (std::strcmp(argv[i], "--max-queue") == 0 && i + 1 < argc) {
-      options.max_queue = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      options.deadline_ms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--no-fast-path") == 0) {
+    } else if (std::strcmp(flag, "--max-queue") == 0 && i + 1 < argc) {
+      ok = number(&options.max_queue, kIntMin, kIntMax);
+    } else if (std::strcmp(flag, "--deadline-ms") == 0 && i + 1 < argc) {
+      ok = number(&options.deadline_ms, kIntMin, kIntMax);
+    } else if (std::strcmp(flag, "--no-fast-path") == 0) {
       options.cached_fast_path = false;
-    } else if (std::strcmp(argv[i], "--cache") == 0 && i + 1 < argc) {
-      options.question_cache_capacity =
-          static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--idle-timeout-ms") == 0 &&
+    } else if (std::strcmp(flag, "--cache") == 0 && i + 1 < argc) {
+      ok = number(&options.question_cache_capacity, 0, kSizeMax);
+    } else if (std::strcmp(flag, "--idle-timeout-ms") == 0 &&
                i + 1 < argc) {
-      options.idle_timeout_ms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--mmap") == 0) {
+      ok = number(&options.idle_timeout_ms, kIntMin, kIntMax);
+    } else if (std::strcmp(flag, "--mmap") == 0) {
       options.mmap_load = true;
-    } else if (std::strcmp(argv[i], "--live") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(flag, "--live") == 0 && i + 1 < argc) {
       options.live_dir = argv[++i];
-    } else if (std::strcmp(argv[i], "--compact-threshold") == 0 &&
+    } else if (std::strcmp(flag, "--compact-threshold") == 0 &&
                i + 1 < argc) {
-      options.live_compact_threshold =
-          static_cast<size_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      num_shards = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--halo-hops") == 0 && i + 1 < argc) {
-      halo_hops = static_cast<uint32_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--shard-timeout-ms") == 0 &&
-               i + 1 < argc) {
-      options.shard_timeout_ms = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--build-shards") == 0) {
-      build_shards_only = true;
-    } else if (std::strcmp(argv[i], "--build-demo-snapshot") == 0 &&
+      ok = number(&options.live_compact_threshold, 0, kSizeMax);
+    } else if (std::strcmp(flag, "--build-demo-snapshot") == 0 &&
                i + 1 < argc) {
       return BuildDemoSnapshot(argv[++i]);
     } else {
       return Usage(argv[0]);
     }
+    if (!ok) return 2;
   }
   if (options.snapshot_path.empty()) return Usage(argv[0]);
-  if (!options.live_dir.empty() && (num_shards >= 1 || build_shards_only)) {
-    std::fprintf(stderr, "--live is incompatible with --shards\n");
-    return 2;
-  }
-
-  if (build_shards_only) {
-    if (num_shards < 1) return Usage(argv[0]);
-    auto manifest = EnsureShards(options.snapshot_path,
-                                 static_cast<uint32_t>(num_shards), halo_hops);
-    if (!manifest.ok()) {
-      std::fprintf(stderr, "shard build failed: %s\n",
-                   manifest.status().ToString().c_str());
-      return 1;
-    }
-    for (const store::ShardInfo& shard : manifest->shards) {
-      std::printf("  %s: %llu owned / %llu total triples\n",
-                  shard.path.c_str(),
-                  static_cast<unsigned long long>(shard.owned_triples),
-                  static_cast<unsigned long long>(shard.total_triples));
-    }
-    std::printf("wrote shard manifest to %s\n",
-                store::ShardManifestPath(options.snapshot_path).c_str());
-    return 0;
-  }
-
-  // Single-process sharded mode: partition the KB (or reuse an existing
-  // matching sharded build), bring up one in-process ShardWorker per shard
-  // on ephemeral loopback ports, and point the QaService router at them.
-  // Operationally this is the scatter-gather demo / test topology; the
-  // workers could equally run as separate processes on other machines.
-  std::vector<std::unique_ptr<server::ShardWorker>> workers;
-  if (num_shards >= 1) {
-    auto manifest = EnsureShards(options.snapshot_path,
-                                 static_cast<uint32_t>(num_shards), halo_hops);
-    if (!manifest.ok()) {
-      std::fprintf(stderr, "shard build failed: %s\n",
-                   manifest.status().ToString().c_str());
-      return 1;
-    }
-    for (uint32_t shard = 0; shard < manifest->num_shards; ++shard) {
-      server::ShardWorker::Options worker_options;
-      worker_options.snapshot_path = manifest->shards[shard].path;
-      worker_options.mmap_load = options.mmap_load;
-      worker_options.shard_id = shard;
-      worker_options.num_shards = manifest->num_shards;
-      worker_options.halo_hops = manifest->halo_hops;
-      auto worker =
-          std::make_unique<server::ShardWorker>(std::move(worker_options));
-      if (Status st = worker->Start(); !st.ok()) {
-        std::fprintf(stderr, "shard %u startup failed: %s\n", shard,
-                     st.ToString().c_str());
-        return 1;
-      }
-      options.shard_endpoints.push_back({"127.0.0.1", worker->port()});
-      workers.push_back(std::move(worker));
-    }
-    options.shard_halo_hops = manifest->halo_hops;
-    std::printf("started %u in-process shard worker(s)\n",
-                manifest->num_shards);
-  }
 
   if (::pipe(g_shutdown_pipe) != 0) {
     std::perror("pipe");
@@ -272,8 +199,7 @@ int main(int argc, char** argv) {
   char byte;
   while (::read(g_shutdown_pipe[0], &byte, 1) < 0 && errno == EINTR) {
   }
-  service.Shutdown();  // router first: no more scatters reach the workers
-  for (auto& worker : workers) worker->Shutdown();
+  service.Shutdown();
 
   server::QaService::EndpointStats answers = service.answer_stats();
   std::printf("served %llu /answer requests (%llu errors), rejected %llu\n",

@@ -1,7 +1,6 @@
 #include "match/query_graph.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace ganswer {
 namespace match {
@@ -19,36 +18,6 @@ void SortAndCutTopK(std::vector<Match>* matches, size_t k) {
     while (cut < matches->size() && (*matches)[cut].score == kth) ++cut;
     matches->resize(cut);
   }
-}
-
-std::vector<Match> MergeShardTopK(
-    const std::vector<std::vector<Match>>& shard_matches, size_t k) {
-  // Dedupe by assignment keeping the maximum score: a shard that held the
-  // whole match neighborhood reports the exact score, one that saw only a
-  // slice may report less for the same assignment.
-  struct AssignmentHash {
-    size_t operator()(const std::vector<rdf::TermId>& a) const {
-      size_t h = a.size();
-      for (rdf::TermId v : a) {
-        h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      }
-      return h;
-    }
-  };
-  std::unordered_map<std::vector<rdf::TermId>, double, AssignmentHash> best;
-  for (const std::vector<Match>& list : shard_matches) {
-    for (const Match& m : list) {
-      auto [it, inserted] = best.emplace(m.assignment, m.score);
-      if (!inserted && m.score > it->second) it->second = m.score;
-    }
-  }
-  std::vector<Match> merged;
-  merged.reserve(best.size());
-  for (auto& [assignment, score] : best) {
-    merged.push_back(Match{assignment, score});
-  }
-  SortAndCutTopK(&merged, k);
-  return merged;
 }
 
 std::vector<int> QueryGraph::IncidentEdges(int v) const {

@@ -71,16 +71,6 @@ bool MatchOrder(const Match& a, const Match& b);
 /// apply the identical cut rule.
 void SortAndCutTopK(std::vector<Match>* matches, size_t k);
 
-/// Scatter-gather merge: per-shard top-k lists collapse into one global
-/// top-k. The same match can arrive from several shards — halo replication
-/// makes shard graphs overlap — possibly with a lower score where a shard
-/// saw only part of the match's neighborhood, so duplicates keep the MAX
-/// score (the owner shard's exact one) before the shared SortAndCutTopK
-/// applies the identical ranking and tie-keeping cut the single-snapshot
-/// matcher uses.
-std::vector<Match> MergeShardTopK(
-    const std::vector<std::vector<Match>>& shard_matches, size_t k);
-
 }  // namespace match
 }  // namespace ganswer
 

@@ -136,10 +136,7 @@ StatusOr<GAnswer::Response> GAnswer::Ask(std::string_view question) const {
     return resp;
   }
   StatusOr<Response> computed = AskUncached(question);
-  // A partial response reflects transient shard failures, not the
-  // question: caching it would keep serving degraded answers after the
-  // shards recover.
-  if (computed.ok() && !computed->partial) cache_->Put(key, *computed);
+  if (computed.ok()) cache_->Put(key, *computed);
   return computed;
 }
 
@@ -175,25 +172,13 @@ StatusOr<GAnswer::Response> GAnswer::AskUncached(
 
   timer.Restart();
   match::QueryGraph query = ToQueryGraph(sqg);
-  bool remote_handled = false;
-  if (options_.remote_match) {
-    RemoteMatchOutcome remote = options_.remote_match(query, options_.matching.k);
-    if (remote.handled) {
-      remote_handled = true;
-      resp.remote_match = true;
-      resp.partial = remote.partial;
-      resp.matches = std::move(remote.matches);
-    }
+  auto matches = matcher_->FindTopK(query, &resp.match_stats);
+  if (!matches.ok()) {
+    resp.evaluation_ms = timer.ElapsedMillis();
+    resp.failure = FailureStage::kNoMatches;
+    return resp;
   }
-  if (!remote_handled) {
-    auto matches = matcher_->FindTopK(query, &resp.match_stats);
-    if (!matches.ok()) {
-      resp.evaluation_ms = timer.ElapsedMillis();
-      resp.failure = FailureStage::kNoMatches;
-      return resp;
-    }
-    resp.matches = std::move(matches).value();
-  }
+  resp.matches = std::move(matches).value();
   resp.evaluation_ms = timer.ElapsedMillis();
 
   if (resp.is_ask) {

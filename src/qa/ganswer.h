@@ -2,7 +2,6 @@
 #define GANSWER_QA_GANSWER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -35,27 +34,6 @@ namespace qa {
 class GAnswer {
  public:
   struct Response;  // defined below; Options::shared_cache refers to it
-
-  /// What a remote (scatter-gather) matching tier returned for one query.
-  /// `handled == false` means the remote tier declined — the query was not
-  /// scatter-safe or every shard failed — and the local matcher runs
-  /// instead, so remote serving degrades to exact local answers, never to
-  /// an error.
-  struct RemoteMatchOutcome {
-    bool handled = false;
-    /// Some shards answered and some failed: the match list may be
-    /// incomplete. Partial responses are reported but never cached.
-    bool partial = false;
-    std::vector<match::Match> matches;
-  };
-
-  /// Pluggable replacement for the local TopKMatcher call — the seam the
-  /// sharded serving tier (server/shard_client.h) hooks into. Receives the
-  /// fully-built query graph (candidate confidences included, so scoring
-  /// is caller-independent) and the configured k. Must be thread-safe:
-  /// concurrent Ask() calls invoke it concurrently.
-  using RemoteMatchFn = std::function<RemoteMatchOutcome(
-      const match::QueryGraph& query, size_t k)>;
 
   struct Options {
     QuestionUnderstander::Options understanding;
@@ -103,11 +81,6 @@ class GAnswer {
     /// key and age out by LRU). When set it overrides
     /// question_cache_capacity/shards.
     std::shared_ptr<ShardedLruCache<Response>> shared_cache;
-    /// When set, Ask() offers each query graph to this remote matching
-    /// tier first and only runs the local matcher when the tier declines
-    /// (RemoteMatchOutcome::handled == false). Understanding, answer
-    /// extraction and caching are unchanged either way.
-    RemoteMatchFn remote_match;
   };
 
   /// Why a question produced no answers; used by failure analysis
@@ -135,12 +108,6 @@ class GAnswer {
     bool cache_hit = false;
     /// Set when the superlative extension rewrote the answer set.
     bool superlative_applied = false;
-    /// True when matching was served by the remote tier (Options::
-    /// remote_match handled the query) rather than the local matcher.
-    bool remote_match = false;
-    /// True when the remote tier answered with incomplete shard coverage;
-    /// such responses are returned to the caller but never cached.
-    bool partial = false;
     /// Distinct bindings of the target vertex, best score first.
     std::vector<Answer> answers;
     /// The underlying top-k subgraph matches.

@@ -85,15 +85,12 @@ void HttpServer::Route(std::string_view method, std::string_view path,
 }
 
 Status HttpServer::Start() {
-  GANSWER_RETURN_NOT_OK(loop_.Init());
-
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
+  // Validate the listen address before any resource is taken: a port the
+  // uint16_t cast would wrap (70000 -> 4464) must fail, not bind elsewhere.
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument("port out of range [0, 65535]: " +
+                                   std::to_string(options_.port));
   }
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
   struct sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -103,6 +100,16 @@ Status HttpServer::Start() {
     return Status::InvalidArgument("bad bind address: " +
                                    options_.bind_address);
   }
+
+  GANSWER_RETURN_NOT_OK(loop_.Init());
+
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (listen_fd_ < 0) {
+    return Status::IoError(std::string("socket: ") + std::strerror(errno));
+  }
+  int one = 1;
+  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
   if (::bind(listen_fd_, reinterpret_cast<struct sockaddr*>(&addr),
              sizeof(addr)) != 0) {
     return Status::IoError(std::string("bind: ") + std::strerror(errno));

@@ -99,37 +99,6 @@ Status QaService::Start() {
   // Per-question matching stays serial: parallelism comes from answering
   // many requests at once on the worker pool, not from splitting one.
   qa_options.matching.exec.threads = 1;
-  if (!options_.shard_endpoints.empty()) {
-    ShardClient::Options client_options;
-    client_options.endpoints = options_.shard_endpoints;
-    client_options.halo_hops = options_.shard_halo_hops;
-    client_options.timeout_ms = options_.shard_timeout_ms;
-    client_options.retries = options_.shard_retries;
-    shard_client_ = std::make_unique<ShardClient>(std::move(client_options));
-    qa_options.remote_match = [this](const match::QueryGraph& query,
-                                     size_t k) {
-      qa::GAnswer::RemoteMatchOutcome out;
-      if (!shard_client_->ShouldScatter(query)) {
-        // Not provably covered by the shards' halo: answer from the local
-        // full snapshot, which is exact for every query shape.
-        shard_client_->CountFallback();
-        return out;
-      }
-      auto scattered = shard_client_->ScatterMatch(query, k);
-      if (!scattered.ok()) {
-        // Every shard failed: local fallback again — never an error.
-        shard_client_->CountFallback();
-        return out;
-      }
-      out.handled = true;
-      out.partial = scattered->partial();
-      if (out.partial) {
-        partial_answers_.Increment();
-      }
-      out.matches = std::move(scattered->matches);
-      return out;
-    };
-  }
   system_ = std::make_unique<qa::GAnswer>(snapshot_.graph.get(), &lexicon_,
                                           snapshot_.dictionary.get(),
                                           qa_options);
@@ -148,10 +117,6 @@ Status QaService::Start() {
 }
 
 Status QaService::StartLive() {
-  if (!options_.shard_endpoints.empty()) {
-    return Status::InvalidArgument(
-        "live mode is incompatible with sharded serving");
-  }
   WallTimer timer;
   store::live::LiveKb::Options live_options;
   live_options.dir = options_.live_dir;
@@ -540,27 +505,6 @@ void QaService::HandleStats(const HttpServer::ResponseWriter& writer) {
       .Field("connections_accepted", http_->connections_accepted())
       .Field("requests_in_flight", http_->requests_in_flight())
       .EndObject();
-  if (shard_client_ != nullptr) {
-    w.Key("shards").BeginObject();
-    w.Field("count", static_cast<int64_t>(shard_client_->num_shards()))
-        .Field("halo_hops", static_cast<int64_t>(options_.shard_halo_hops))
-        .Field("scattered", shard_client_->scattered_calls())
-        .Field("fallback_local", shard_client_->fallback_calls())
-        .Field("partial_results", shard_client_->partial_results())
-        .Field("partial_answers", partial_answers());
-    w.Key("per_shard").BeginArray();
-    for (size_t i = 0; i < shard_client_->num_shards(); ++i) {
-      ShardClient::ShardCounters counters = shard_client_->counters(i);
-      w.BeginObject()
-          .Field("requests", counters.requests)
-          .Field("retries", counters.retries)
-          .Field("errors", counters.errors)
-          .Field("timeouts", counters.timeouts)
-          .EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
-  }
   const store::Snapshot& base = view != nullptr ? view->base() : snapshot_;
   w.Key("storage").BeginObject();
   w.Field("mode", base.mapping ? "mmap" : "read")
@@ -657,9 +601,6 @@ std::string QaService::AnswerToJson(std::string_view question,
   w.BeginObject();
   w.Field("question", question);
   w.Field("cache_hit", cache_hit);
-  // Incomplete shard coverage in sharded mode; always false when serving
-  // locally or from the cache (partial responses are never cached).
-  w.Field("partial", response.partial);
   w.Field("is_ask", response.is_ask);
   if (response.is_ask) w.Field("ask_result", response.ask_result);
   w.Field("failure", FailureName(response.failure));

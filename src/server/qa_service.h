@@ -16,7 +16,6 @@
 #include "qa/ganswer.h"
 #include "rdf/sparql_engine.h"
 #include "server/http_server.h"
-#include "server/shard_client.h"
 #include "store/live/live_kb.h"
 #include "store/snapshot.h"
 
@@ -91,8 +90,7 @@ class QaService {
     std::string snapshot_path;
     /// Live mode: serve a live store at this directory (manifest, WAL,
     /// compacted snapshots) instead of a frozen snapshot, and accept
-    /// streaming updates on POST /update. Incompatible with
-    /// shard_endpoints.
+    /// streaming updates on POST /update.
     std::string live_dir;
     /// Accumulated delta size (adds + deletes) that arms background
     /// compaction in live mode; 0 = never compact automatically.
@@ -138,20 +136,6 @@ class QaService {
     /// request is answered (e.g. a latch that holds workers busy so
     /// admission overflow and shutdown drain become deterministic).
     std::function<void()> worker_hook;
-    /// Sharded serving: when non-empty, /answer matching scatters to these
-    /// shard workers (server/shard_worker.h, one per endpoint) and merges
-    /// per-shard top-k — the router keeps the full snapshot and falls back
-    /// to local matching whenever a query is not scatter-safe or every
-    /// shard fails, so answers stay exact (see server/shard_client.h).
-    /// Empty (the default) serves everything locally.
-    std::vector<ShardClient::Endpoint> shard_endpoints;
-    /// Halo radius the shard snapshots were built with (from the shard
-    /// manifest); gates which queries may scatter.
-    uint32_t shard_halo_hops = 0;
-    /// End-to-end deadline per scatter, and per-shard resends after a
-    /// failure within that deadline.
-    int shard_timeout_ms = 2000;
-    int shard_retries = 1;
   };
 
   /// Cumulative per-endpoint counters, readable while serving.
@@ -206,10 +190,6 @@ class QaService {
   /// Non-null only in live mode (Options::live_dir non-empty).
   store::live::LiveKb* live() { return live_.get(); }
   HttpServer* http_server() { return http_.get(); }
-  /// Non-null only in sharded mode (Options::shard_endpoints non-empty).
-  ShardClient* shard_client() { return shard_client_.get(); }
-  /// /answer responses served with incomplete shard coverage.
-  uint64_t partial_answers() const { return partial_answers_.Value(); }
 
  private:
   struct StatsCell {
@@ -264,8 +244,6 @@ class QaService {
   std::unique_ptr<store::live::LiveKb> live_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<HttpServer> http_;
-  std::unique_ptr<ShardClient> shard_client_;
-  StripedCounter partial_answers_;
 
   /// Admission gate, not a statistic: Admit() compares the fetch_add
   /// result against max_queue, so this must stay one shared atomic.

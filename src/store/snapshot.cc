@@ -15,10 +15,9 @@ namespace {
 // Layout:
 //   magic(8) | byte-order mark u32 | version u32 | section count u32
 //   section table, one entry per section:
-//     v1/v2: { id u32, offset u64, size u64, crc32 u32 }
-//     v3:    { id u32, encoding u32, offset u64, size u64, crc32 u32 }
-//   section payloads (offsets are absolute, payloads contiguous; v3 payloads
-//   start on 8-byte boundaries so raw pod arrays are mappable in place)
+//     { id u32, encoding u32, offset u64, size u64, crc32 u32 }
+//   section payloads (offsets are absolute, payloads contiguous and start
+//   on 8-byte boundaries so raw pod arrays are mappable in place)
 // The fingerprint is the CRC32 of the section table, i.e. of all section
 // CRCs — a cheap stable identity for the whole container.
 constexpr char kMagic[8] = {'G', 'A', 'N', 'S', 'S', 'N', 'A', 'P'};
@@ -29,7 +28,7 @@ enum SectionId : uint32_t {
   kSignatureSection = 2,    // per-vertex signature arrays
   kEntityIndexSection = 3,  // label/token postings
   kDictionarySection = 4,   // paraphrase phrase records + inverted index
-  kStatsSection = 5,        // planner cardinality statistics (version >= 2)
+  kStatsSection = 5,        // planner cardinality statistics
 };
 
 struct SectionEntry {
@@ -40,10 +39,8 @@ struct SectionEntry {
   uint32_t crc = 0;
 };
 
-size_t TableEntrySize(uint32_t version) {
-  size_t base = sizeof(uint32_t) + 2 * sizeof(uint64_t) + sizeof(uint32_t);
-  return version >= 3 ? base + sizeof(uint32_t) : base;
-}
+constexpr size_t kTableEntrySize =
+    3 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
 
 constexpr size_t kNumSections = 5;
 
@@ -59,15 +56,6 @@ Status WriteSnapshot(const rdf::RdfGraph& graph,
   if (!graph.finalized()) {
     return Status::InvalidArgument("snapshot requires a finalized graph");
   }
-  if (options.version < 2 || options.version > kSnapshotVersion) {
-    return Status::InvalidArgument("unwritable snapshot version " +
-                                   std::to_string(options.version));
-  }
-  const bool v3 = options.version >= 3;
-  if (options.compress && !v3) {
-    return Status::InvalidArgument(
-        "compressed sections require snapshot version 3");
-  }
 
   // The whole container is assembled in one writer: header, a zeroed
   // section table, then each payload appended directly. CRCs are taken over
@@ -75,32 +63,28 @@ Status WriteSnapshot(const rdf::RdfGraph& graph,
   // no section is ever staged in a side buffer (peak memory is the
   // container, not the container plus its largest section).
   BinaryWriter w;
-  w.set_aligned(v3);
+  w.set_aligned(true);
   w.WriteBytes(std::string_view(kMagic, sizeof(kMagic)));
   w.WriteU32(kByteOrderMark);
-  w.WriteU32(options.version);
+  w.WriteU32(kSnapshotVersion);
   w.WriteU32(kNumSections);
-  const size_t entry_size = TableEntrySize(options.version);
   const size_t table_start = w.size();
-  w.WriteZeros(kNumSections * entry_size);
+  w.WriteZeros(kNumSections * kTableEntrySize);
 
   size_t section_sizes[kNumSections] = {};
   size_t section_index = 0;
   auto begin_section = [&]() {
-    if (v3) w.AlignTo(8);
+    w.AlignTo(8);
     return w.size();
   };
   auto end_section = [&](uint32_t id, SectionEncoding encoding,
                          size_t offset) {
     size_t size = w.size() - offset;
     uint32_t crc = Crc32(w.buffer().data() + offset, size);
-    size_t at = table_start + section_index * entry_size;
+    size_t at = table_start + section_index * kTableEntrySize;
     w.PatchU32(at, id);
-    at += sizeof(uint32_t);
-    if (v3) {
-      w.PatchU32(at, static_cast<uint32_t>(encoding));
-      at += sizeof(uint32_t);
-    }
+    w.PatchU32(at + sizeof(uint32_t), static_cast<uint32_t>(encoding));
+    at += 2 * sizeof(uint32_t);
     w.PatchU64(at, offset);
     w.PatchU64(at + sizeof(uint64_t), size);
     w.PatchU32(at + 2 * sizeof(uint64_t), crc);
@@ -141,7 +125,7 @@ Status WriteSnapshot(const rdf::RdfGraph& graph,
   }
 
   uint64_t fingerprint =
-      Crc32(w.buffer().data() + table_start, kNumSections * entry_size);
+      Crc32(w.buffer().data() + table_start, kNumSections * kTableEntrySize);
   *out = w.Release();
 
   if (stats != nullptr) {
@@ -215,9 +199,8 @@ StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
     return Status::Corruption("implausible snapshot section count");
   }
 
-  const bool v3 = version >= 3;
   size_t table_start = sizeof(kMagic) + 3 * sizeof(uint32_t);
-  size_t table_bytes = section_count * TableEntrySize(version);
+  size_t table_bytes = section_count * kTableEntrySize;
   if (bytes.size() < table_start + table_bytes) {
     return Status::Corruption("truncated snapshot section table");
   }
@@ -226,15 +209,13 @@ StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
   std::vector<SectionEntry> table(section_count);
   for (SectionEntry& entry : table) {
     GANSWER_RETURN_NOT_OK(header.ReadU32(&entry.id));
-    if (v3) {
-      uint32_t encoding = 0;
-      GANSWER_RETURN_NOT_OK(header.ReadU32(&encoding));
-      if (encoding > static_cast<uint32_t>(SectionEncoding::kCompressed)) {
-        return Status::Corruption("snapshot section has unknown encoding " +
-                                  std::to_string(encoding));
-      }
-      entry.encoding = static_cast<SectionEncoding>(encoding);
+    uint32_t encoding = 0;
+    GANSWER_RETURN_NOT_OK(header.ReadU32(&encoding));
+    if (encoding > static_cast<uint32_t>(SectionEncoding::kCompressed)) {
+      return Status::Corruption("snapshot section has unknown encoding " +
+                                std::to_string(encoding));
     }
+    entry.encoding = static_cast<SectionEncoding>(encoding);
     GANSWER_RETURN_NOT_OK(header.ReadU64(&entry.offset));
     GANSWER_RETURN_NOT_OK(header.ReadU64(&entry.size));
     GANSWER_RETURN_NOT_OK(header.ReadU32(&entry.crc));
@@ -249,7 +230,7 @@ StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
         return Status::Corruption("snapshot section " + std::to_string(id) +
                                   " out of bounds");
       }
-      if (v3 && entry.offset % 8 != 0) {
+      if (entry.offset % 8 != 0) {
         return Status::Corruption("snapshot section " + std::to_string(id) +
                                   " payload misaligned");
       }
@@ -267,7 +248,7 @@ StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
   auto section_reader = [&](std::string_view payload,
                             SectionEncoding encoding) {
     BinaryReader r(payload);
-    r.set_aligned(v3);
+    r.set_aligned(true);
     // Views only make sense for raw payloads out of a pinned mapping;
     // compressed sections decode into heap buffers regardless.
     r.set_views_allowed(views_allowed && encoding == SectionEncoding::kRaw);
@@ -319,17 +300,12 @@ StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
         &r, snapshot.graph->dict().size()));
   }
 
+  GANSWER_RETURN_NOT_OK(find_section(kStatsSection, &payload, &encoding));
   snapshot.stats = std::make_unique<rdf::GraphStats>();
-  if (version >= 2) {
-    GANSWER_RETURN_NOT_OK(find_section(kStatsSection, &payload, &encoding));
+  {
     BinaryReader r = section_reader(payload, encoding);
     GANSWER_RETURN_NOT_OK(snapshot.stats->LoadBinary(
         &r, encoding == SectionEncoding::kCompressed));
-  } else {
-    // Version-1 snapshots predate the statistics section; the graph is
-    // already in memory, so recompute them (same deterministic function the
-    // writer runs).
-    *snapshot.stats = rdf::GraphStats::Compute(*snapshot.graph);
   }
 
   return snapshot;

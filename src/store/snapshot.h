@@ -22,28 +22,23 @@ namespace store {
 /// changes or a section is added. Version 2 added the graph-statistics
 /// section (rdf/graph_stats.h). Version 3 added per-section encoding flags
 /// (raw | compressed), 8-aligned section payloads and alignment-padded pod
-/// arrays, making raw sections directly mappable. Readers accept versions
-/// back to kMinSupportedSnapshotVersion: a version-1 snapshot loads fine,
-/// with the statistics recomputed from the graph instead of read from disk.
-/// Versions newer than this binary's are rejected (their layout is
-/// unknown).
+/// arrays, making raw sections directly mappable. Version 3 is the only
+/// format this binary writes or reads: older containers and versions newer
+/// than this binary's are rejected with a "rebuild the snapshot" status.
 inline constexpr uint32_t kSnapshotVersion = 3;
-inline constexpr uint32_t kMinSupportedSnapshotVersion = 1;
+inline constexpr uint32_t kMinSupportedSnapshotVersion = 3;
 
-/// How a v3 section's payload is encoded on disk. Raw sections are the pod
+/// How a section's payload is encoded on disk. Raw sections are the pod
 /// layouts the in-memory structures use directly (zero-copy under mmap);
 /// compressed sections are delta-varint / front-coded and decode into heap
-/// buffers on load. v1/v2 sections are always raw.
+/// buffers on load.
 enum class SectionEncoding : uint32_t { kRaw = 0, kCompressed = 1 };
 
-/// Writer knobs. \p version selects the container layout (the current one
-/// by default; 2 writes a legacy container for old readers and for tests
-/// that pin the v2 layout). \p compress — v3 only — stores the graph,
-/// signature, entity-index and stats sections delta/front-coded: several
-/// times smaller on disk, at the price of a decode pass (no zero-copy) on
-/// load. The paraphrase dictionary section stays raw in either mode.
+/// Writer knobs. \p compress stores the graph, signature, entity-index and
+/// stats sections delta/front-coded: several times smaller on disk, at the
+/// price of a decode pass (no zero-copy) on load. The paraphrase dictionary
+/// section stays raw in either mode.
 struct SnapshotWriteOptions {
-  uint32_t version = kSnapshotVersion;
   bool compress = false;
 };
 
@@ -64,8 +59,8 @@ struct Snapshot {
   std::unique_ptr<rdf::SignatureIndex> signatures;
   std::unique_ptr<linking::EntityIndex> entity_index;
   std::unique_ptr<paraphrase::ParaphraseDictionary> dictionary;
-  /// Planner statistics: read from the stats section (version >= 2) or
-  /// recomputed from the loaded graph (version 1); never null on success.
+  /// Planner statistics, read from the stats section; never null on
+  /// success.
   std::unique_ptr<rdf::GraphStats> stats;
   /// Identity of the snapshot contents (derived from the per-section
   /// checksums). Two byte-identical snapshots share a fingerprint; use it

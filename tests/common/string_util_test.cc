@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace ganswer {
 namespace {
 
@@ -59,6 +61,13 @@ struct EditDistanceCase {
   const char* b;
   size_t expected;
 };
+
+// Prints the case by value. Without this gtest prints the raw bytes of the
+// two pointers, which differ from run to run, and the discovered ctest
+// names (built from the printed parameter) would change with every build.
+void PrintTo(const EditDistanceCase& c, std::ostream* os) {
+  *os << "a=" << c.a << ",b=" << c.b << ",d=" << c.expected;
+}
 
 class EditDistanceTest : public ::testing::TestWithParam<EditDistanceCase> {};
 

@@ -162,6 +162,31 @@ TEST(TopKMatcherTest, KLimitsAndTiesAreKept) {
   EXPECT_EQ(matches->size(), 8u);
 }
 
+// The cut rule itself, on a hand-built list: MatchOrder ranks by score
+// descending and breaks ties by assignment ascending, and every match tied
+// with the k-th score survives the cut.
+TEST(TopKMatcherTest, SortAndCutTopKOrdersTiesAndKeepsThem) {
+  std::vector<Match> matches = {
+      {{5, 1}, -1.0}, {{2, 9}, -0.5}, {{4, 0}, -1.0},
+      {{3, 3}, -2.0}, {{1, 7}, -1.0}, {{6, 6}, -0.5},
+  };
+  std::vector<Match> cut = matches;
+  SortAndCutTopK(&cut, 3);
+  const std::vector<std::vector<rdf::TermId>> want = {
+      {2, 9}, {6, 6}, {1, 7}, {4, 0}, {5, 1}};
+  ASSERT_EQ(cut.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(cut[i].assignment, want[i]) << "rank " << i;
+  }
+  EXPECT_EQ(cut.back().score, -1.0);
+
+  // k = 0 sorts without cutting.
+  std::vector<Match> all = matches;
+  SortAndCutTopK(&all, 0);
+  ASSERT_EQ(all.size(), matches.size());
+  EXPECT_EQ(all.back().assignment, (std::vector<rdf::TermId>{3, 3}));
+}
+
 // ---------------------------------------------------------------------------
 // Property: TA early termination returns exactly the same top-k as the
 // exhaustive run, on randomized graphs and candidate lists.

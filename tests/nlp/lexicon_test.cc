@@ -45,6 +45,12 @@ struct LemmaCase {
   const char* lemma;
 };
 
+// Prints the case by value so the discovered ctest names stay the same
+// from build to build (gtest would otherwise print the pointer bytes).
+void PrintTo(const LemmaCase& c, std::ostream* os) {
+  *os << c.form << "->" << c.lemma;
+}
+
 class LemmatizeTest : public ::testing::TestWithParam<LemmaCase> {
  protected:
   Lexicon lex_;

@@ -1,7 +1,8 @@
 // Structural properties of RdfGraph's CSR against a reference adjacency
-// built straight from the raw triple list, plus the N-Triples text
-// round-trip. These are the invariants every other component leans on
-// (sorted spans, exact triple membership, degree accounting, type closure).
+// built straight from the raw triple list, plus the N-Triples text and
+// snapshot round-trips. These are the invariants every other component
+// leans on (sorted spans, exact triple membership, degree accounting, type
+// closure).
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,12 @@
 #include <sstream>
 #include <vector>
 
+#include "nlp/lexicon.h"
+#include "paraphrase/paraphrase_dictionary.h"
 #include "prop/prop_support.h"
 #include "rdf/ntriples.h"
 #include "rdf/rdf_graph.h"
+#include "store/snapshot.h"
 #include "test_support.h"
 
 namespace ganswer {
@@ -184,6 +188,43 @@ TEST(GraphPropertyTest, NtriplesRoundTripPreservesTriples) {
       ASSERT_TRUE(s.has_value() && p.has_value() && o.has_value())
           << t.s << " " << t.p << " " << t.o;
       EXPECT_TRUE(reparsed.HasTriple(*s, *p, *o));
+    }
+  });
+}
+
+// Write -> ReadSnapshot must reproduce the exact term dictionary and
+// triple set, for raw and compressed containers alike.
+TEST(GraphPropertyTest, SnapshotRoundTripPreservesTriples) {
+  ForEachSeed(6300, 24, [](uint64_t seed) {
+    Rng rng(seed);
+    RandomGraphOptions gopts;
+    gopts.num_vertices = 8 + rng.Next(8);
+    gopts.num_predicates = 2 + rng.Next(3);
+    gopts.num_triples = 20 + rng.Next(30);
+    gopts.literal_rate = 0.15;
+    RandomGraphData data = BuildRandomGraph(seed * 17 + 5, gopts);
+
+    nlp::Lexicon lexicon;
+    paraphrase::ParaphraseDictionary dict(&lexicon);
+    std::string bytes;
+    ASSERT_TRUE(store::WriteSnapshot(data.graph, dict, &bytes, nullptr,
+                                     {.compress = (seed % 2) == 1})
+                    .ok());
+    auto snapshot = store::ReadSnapshot(bytes, &lexicon);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    const rdf::RdfGraph& loaded = *snapshot->graph;
+
+    ASSERT_EQ(loaded.dict().size(), data.graph.dict().size());
+    for (TermId id = 0; id < loaded.dict().size(); ++id) {
+      ASSERT_EQ(loaded.dict().text(id), data.graph.dict().text(id));
+      ASSERT_EQ(loaded.dict().kind(id), data.graph.dict().kind(id));
+    }
+    ASSERT_EQ(loaded.NumTriples(), data.graph.NumTriples());
+    for (TermId v = 0; v < data.graph.dict().size(); ++v) {
+      auto want = data.graph.OutEdges(v);
+      auto got = loaded.OutEdges(v);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "out-edges of " << data.graph.dict().text(v);
     }
   });
 }

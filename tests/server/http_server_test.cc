@@ -248,6 +248,26 @@ TEST(HttpServerTest, ShutdownDrainsInFlightResponses) {
   EXPECT_FALSE(refused.Connect("127.0.0.1", port).ok());
 }
 
+TEST(HttpServerTest, StartRejectsOutOfRangePortAndBadAddress) {
+  // Ports outside [0, 65535] used to be narrowed by a uint16_t cast, so
+  // 70000 bound port 4464; they are now an argument error, as is a bind
+  // address that is not an IPv4 literal.
+  for (int port : {-1, 65536, 70000}) {
+    HttpServer::Options options = TestOptions();
+    options.port = port;
+    HttpServer srv(options);
+    Status st = srv.Start();
+    EXPECT_TRUE(st.IsInvalidArgument()) << port << ": " << st.ToString();
+    EXPECT_EQ(srv.port(), 0);
+  }
+  HttpServer::Options options = TestOptions();
+  options.bind_address = "not-an-address";
+  HttpServer srv(options);
+  Status st = srv.Start();
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.ToString().find("bad bind address"), std::string::npos);
+}
+
 TEST(HttpServerTest, ShutdownIsIdempotent) {
   HttpServer srv(TestOptions());
   ASSERT_TRUE(srv.Start().ok());

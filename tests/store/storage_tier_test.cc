@@ -1,6 +1,6 @@
 // The v3 storage tier: every (encoding, load mode) combination must
 // reconstruct the same bundle, the compressed container must actually be
-// smaller, legacy v2 containers must keep loading, and corruption in the
+// smaller, legacy v2 containers must be rejected, and corruption in the
 // compressed sections must be rejected — through the CRC and, when the CRC
 // is forged, through the decoders' own validation.
 
@@ -72,7 +72,7 @@ std::string Reserialize(const Snapshot& snapshot) {
   std::string bytes;
   Status st = WriteSnapshot(*snapshot.graph, *snapshot.signatures,
                             *snapshot.entity_index, *snapshot.dictionary,
-                            &bytes, nullptr, {.version = 3});
+                            &bytes, nullptr);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return bytes;
 }
@@ -80,8 +80,8 @@ std::string Reserialize(const Snapshot& snapshot) {
 TEST(StorageTierTest, AllEncodingsAndLoadModesReconstructIdentically) {
   std::string raw_path = "storage_tier_raw.snap";
   std::string compressed_path = "storage_tier_compressed.snap";
-  WriteToFile(raw_path, {.version = 3, .compress = false});
-  WriteToFile(compressed_path, {.version = 3, .compress = true});
+  WriteToFile(raw_path, {.compress = false});
+  WriteToFile(compressed_path, {.compress = true});
 
   auto raw_read = ReadSnapshotFile(raw_path, &World().lexicon);
   auto raw_mmap = ReadSnapshotFile(raw_path, &World().lexicon,
@@ -119,8 +119,8 @@ TEST(StorageTierTest, AllEncodingsAndLoadModesReconstructIdentically) {
 
 TEST(StorageTierTest, CompressedContainerIsSubstantiallySmaller) {
   SnapshotStats raw_stats, compressed_stats;
-  Write({.version = 3, .compress = false}, &raw_stats);
-  Write({.version = 3, .compress = true}, &compressed_stats);
+  Write({.compress = false}, &raw_stats);
+  Write({.compress = true}, &compressed_stats);
   EXPECT_LT(compressed_stats.total_bytes * 2, raw_stats.total_bytes)
       << "compressed " << compressed_stats.total_bytes << " vs raw "
       << raw_stats.total_bytes;
@@ -131,20 +131,17 @@ TEST(StorageTierTest, CompressedContainerIsSubstantiallySmaller) {
   EXPECT_LT(compressed_stats.stats_bytes, raw_stats.stats_bytes);
 }
 
-TEST(StorageTierTest, LegacyVersionTwoContainerStillLoads) {
-  std::string v2 = Write({.version = 2});
-  auto loaded = ReadSnapshot(v2, &World().lexicon);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  auto v3 = ReadSnapshot(Write({.version = 3}), &World().lexicon);
-  ASSERT_TRUE(v3.ok());
-  EXPECT_EQ(Reserialize(*loaded), Reserialize(*v3));
-}
-
-TEST(StorageTierTest, CompressRequiresVersionThree) {
-  std::string bytes;
-  Status st = WriteSnapshot(World().data.graph, *World().dict, &bytes,
-                            nullptr, {.version = 2, .compress = true});
-  EXPECT_FALSE(st.ok());
+TEST(StorageTierTest, LegacyVersionTwoContainerIsRejected) {
+  // v3 is the only readable layout: a container claiming version 2 (the
+  // u32 after the 8-byte magic and 4-byte byte-order mark) must fail with
+  // the rebuild hint instead of being parsed with the narrower v2 table.
+  std::string bytes = Write({});
+  bytes[12] = 2;
+  auto loaded = ReadSnapshot(bytes, &World().lexicon);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption());
+  EXPECT_NE(loaded.status().ToString().find("rebuild the snapshot"),
+            std::string::npos);
 }
 
 // --- Corruption handling over the compressed sections. ---
@@ -176,7 +173,7 @@ std::vector<SectionEntry> ParseTable(const std::string& bytes) {
 }
 
 TEST(StorageTierTest, BitFlipsInCompressedSectionsAreRejectedByCrc) {
-  std::string bytes = Write({.version = 3, .compress = true});
+  std::string bytes = Write({.compress = true});
   std::vector<SectionEntry> sections = ParseTable(bytes);
   ASSERT_EQ(sections.size(), 5u);
   for (const SectionEntry& section : sections) {
@@ -201,7 +198,7 @@ TEST(StorageTierTest, ForgedCrcStillFailsInCompressedDecoders) {
   // machinery accepts the bytes and the delta/front-coding decoders
   // themselves must catch the damage (or produce a consistent bundle —
   // never crash, never accept garbage silently as something it is not).
-  std::string bytes = Write({.version = 3, .compress = true});
+  std::string bytes = Write({.compress = true});
   std::vector<SectionEntry> sections = ParseTable(bytes);
   size_t rejected = 0, accepted = 0;
   for (const SectionEntry& section : sections) {
@@ -230,7 +227,7 @@ TEST(StorageTierTest, ForgedCrcStillFailsInCompressedDecoders) {
 }
 
 TEST(StorageTierTest, EveryTruncationOfCompressedContainerIsRejected) {
-  std::string bytes = Write({.version = 3, .compress = true});
+  std::string bytes = Write({.compress = true});
   for (size_t n = 0; n < std::min<size_t>(bytes.size(), 200); ++n) {
     EXPECT_FALSE(ReadSnapshot(bytes.substr(0, n), &World().lexicon).ok());
   }
@@ -241,7 +238,7 @@ TEST(StorageTierTest, EveryTruncationOfCompressedContainerIsRejected) {
 
 TEST(StorageTierTest, MmapLoadRejectsCorruptFile) {
   std::string path = "storage_tier_corrupt.snap";
-  std::string bytes = WriteToFile(path, {.version = 3, .compress = false});
+  std::string bytes = WriteToFile(path, {.compress = false});
   std::vector<SectionEntry> sections = ParseTable(bytes);
   std::string mutated = bytes;
   mutated[sections[0].offset + sections[0].size / 2] ^= 0x10;
