@@ -11,8 +11,6 @@
 
 #include "bench_support.h"
 #include "common/search.h"
-#include "common/striped_counter.h"
-#include "common/thread_pool.h"
 #include "deanna/deanna_qa.h"
 #include "linking/entity_linker.h"
 #include "nlp/dependency_parser.h"
@@ -153,67 +151,6 @@ void BM_MergeAdvanceGalloping(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_MergeAdvanceGalloping)->Arg(1 << 14)->Arg(1 << 20);
-
-void BM_LowerBoundSimd(benchmark::State& state) {
-  ProbeRandom(state, [](auto first, auto last, uint32_t v) {
-    return SimdLowerBoundU32(&*first, &*first + (last - first), v);
-  });
-}
-BENCHMARK(BM_LowerBoundSimd)->Arg(1 << 8)->Arg(1 << 14)->Arg(1 << 20);
-
-void BM_LowerBoundSimdScalarFallback(benchmark::State& state) {
-  ProbeKernel prev = SetProbeKernelForTest(ProbeKernel::kScalar);
-  ProbeRandom(state, [](auto first, auto last, uint32_t v) {
-    return SimdLowerBoundU32(&*first, &*first + (last - first), v);
-  });
-  SetProbeKernelForTest(prev);
-}
-BENCHMARK(BM_LowerBoundSimdScalarFallback)->Arg(1 << 14)->Arg(1 << 20);
-
-// --- Counter stripes: the /stats bookkeeping on the request path. ---
-//
-// Threads hammer one counter; stripes=1 is the shared-atomic layout the
-// striped counter replaced. On multi-core hardware the shared line's
-// ping-pong shows up directly in items/s as ->Threads grows.
-
-void BM_CounterShared(benchmark::State& state) {
-  static StripedCounter counter(1);
-  for (auto _ : state) counter.Increment();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CounterShared)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
-
-void BM_CounterStriped(benchmark::State& state) {
-  static StripedCounter counter(0);
-  for (auto _ : state) counter.Increment();
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CounterStriped)->Threads(1)->Threads(2)->Threads(4)->UseRealTime();
-
-// --- ParallelFor dispatch, pinned vs unpinned workers. ---
-
-void ParallelForWork(benchmark::State& state, bool pin) {
-  ThreadPool pool(ThreadPool::Options{/*threads=*/0, pin});
-  std::vector<uint64_t> sums(256);
-  for (auto _ : state) {
-    pool.ParallelFor(0, sums.size(), [&](size_t i) {
-      uint64_t acc = i;
-      for (int r = 0; r < 512; ++r) acc = acc * 2862933555777941757ULL + 3037ULL;
-      sums[i] = acc;
-    });
-    benchmark::DoNotOptimize(sums.data());
-  }
-}
-
-void BM_ParallelForUnpinned(benchmark::State& state) {
-  ParallelForWork(state, false);
-}
-BENCHMARK(BM_ParallelForUnpinned);
-
-void BM_ParallelForPinned(benchmark::State& state) {
-  ParallelForWork(state, true);
-}
-BENCHMARK(BM_ParallelForPinned);
 
 void BM_SparqlBgp(benchmark::State& state) {
   const auto& g = World().kb.graph;

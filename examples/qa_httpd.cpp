@@ -103,7 +103,6 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --snapshot FILE [--port N] [--address A] [--threads N]\n"
-      "          [--pin-workers]\n"
       "          [--max-queue N] [--deadline-ms N] [--no-fast-path]\n"
       "          [--cache N] [--idle-timeout-ms N] [--mmap]\n"
       "          [--live DIR [--compact-threshold N]]\n"
@@ -145,8 +144,6 @@ int main(int argc, char** argv) {
       options.bind_address = argv[++i];
     } else if (std::strcmp(flag, "--threads") == 0 && i + 1 < argc) {
       ok = number(&options.threads, kIntMin, kIntMax);
-    } else if (std::strcmp(flag, "--pin-workers") == 0) {
-      options.pin_workers = true;
     } else if (std::strcmp(flag, "--max-queue") == 0 && i + 1 < argc) {
       ok = number(&options.max_queue, kIntMin, kIntMax);
     } else if (std::strcmp(flag, "--deadline-ms") == 0 && i + 1 < argc) {

@@ -1,6 +1,7 @@
 #ifndef GANSWER_COMMON_LRU_CACHE_H_
 #define GANSWER_COMMON_LRU_CACHE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -11,38 +12,20 @@
 #include <utility>
 #include <vector>
 
-#include "common/striped_counter.h"
-#include "common/topology.h"
-
 namespace ganswer {
 
 /// \brief Thread-safe sharded LRU cache, string keys to shared immutable
-/// values — core-aware: shard count sized from the topology, shard headers
-/// padded to cache lines, statistics striped per core.
+/// values.
 ///
 /// Keys hash to one of `shards` independent LRU lists, each behind its own
 /// mutex, so concurrent lookups from the serving fan-out contend only when
-/// they land on the same shard. The default shard count derives from the
-/// CPUs actually available to the process (cpuset-aware, see
-/// common/topology.h): the next power of two at or above twice the
-/// hardware threads, never below 8 — a power of two so the shard pick is
-/// one mask, and 2x threads so two threads racing the same shard is the
-/// exception, not the steady state. Each Shard is alignas(64): one shard's
-/// mutex churn never writes a neighbour shard's cache line.
+/// they land on the same shard. The shard count is a power of two so the
+/// shard pick is one mask; the default is the constant 8, so eviction order
+/// never depends on the host. The key->shard mapping is pure hashing: the
+/// same key reaches the same shard from every thread.
 ///
-/// The hit/miss/eviction counters are StripedCounters: relaxed per-core
-/// increments, exact aggregate on stats() — the previous shared atomics
-/// sat adjacent on one line and were hammered from every request thread,
-/// serializing the fleet on counter bookkeeping (the textbook false-
-/// sharing bug). Counter values are exact, not sampled; /stats semantics
-/// are unchanged.
-///
-/// Thread-local shard affinity: the key->shard mapping is pure hashing
-/// (correctness requires the same key to reach the same shard from every
-/// thread), but each probing thread carries a stable per-core hint
-/// (CurrentCpuHint) that picks its counter stripe, and Get() prefetches
-/// the shard header before taking the lock, so the header line is usually
-/// local by the time the mutex is acquired.
+/// The hit/miss/eviction counters are relaxed atomics: exact event counts,
+/// read as a relaxed snapshot by stats().
 ///
 /// Values are handed out as shared_ptr<const V>: a hit never copies the
 /// value under the lock, and an entry evicted while a reader still holds
@@ -53,12 +36,8 @@ class ShardedLruCache {
   struct Options {
     /// Total entry capacity across all shards (rounded up to shards).
     size_t capacity = 1024;
-    /// 0 = derive from topology (see class comment). Explicit values are
-    /// rounded up to a power of two.
+    /// Rounded up to a power of two; 0 means the default of 8.
     size_t shards = 0;
-    /// Stat-counter stripes; 0 = derive from topology, 1 = one shared
-    /// atomic (the contention-bench baseline).
-    size_t counter_stripes = 0;
   };
 
   struct Stats {
@@ -73,12 +52,8 @@ class ShardedLruCache {
     double shard_imbalance = 0.0;
   };
 
-  explicit ShardedLruCache(Options options)
-      : options_(options),
-        hits_(options.counter_stripes),
-        misses_(options.counter_stripes),
-        evictions_(options.counter_stripes) {
-    options_.shards = DeriveShards(options_.shards);
+  explicit ShardedLruCache(Options options) : options_(options) {
+    options_.shards = RoundShards(options_.shards);
     shard_mask_ = options_.shards - 1;
     if (options_.capacity < options_.shards) {
       options_.capacity = options_.shards;
@@ -101,15 +76,14 @@ class ShardedLruCache {
   std::shared_ptr<const V> Get(const std::string& key,
                                bool count_miss = true) {
     Shard& shard = ShardFor(key);
-    __builtin_prefetch(&shard, 0, 1);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) {
-      if (count_miss) misses_.Increment();
+      if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
       return nullptr;
     }
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    hits_.Increment();
+    hits_.fetch_add(1, std::memory_order_relaxed);
     return it->second->second;
   }
 
@@ -130,7 +104,7 @@ class ShardedLruCache {
     if (shard.lru.size() > per_shard_capacity_) {
       shard.index.erase(shard.lru.back().first);
       shard.lru.pop_back();
-      evictions_.Increment();
+      evictions_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -145,9 +119,9 @@ class ShardedLruCache {
 
   Stats stats() const {
     Stats s;
-    s.hits = hits_.Value();
-    s.misses = misses_.Value();
-    s.evictions = evictions_.Value();
+    s.hits = hits_.load(std::memory_order_relaxed);
+    s.misses = misses_.load(std::memory_order_relaxed);
+    s.evictions = evictions_.load(std::memory_order_relaxed);
     s.shard_entries.reserve(shards_.size());
     size_t max_entries = 0;
     for (const Shard& shard : shards_) {
@@ -167,8 +141,7 @@ class ShardedLruCache {
 
   const Options& options() const { return options_; }
 
-  /// The shard index \p key hashes to — thread-independent by
-  /// construction (the affinity test pins this down).
+  /// The shard index \p key hashes to — a pure function of the key.
   size_t ShardIndex(const std::string& key) const {
     return std::hash<std::string>{}(key)&shard_mask_;
   }
@@ -184,14 +157,9 @@ class ShardedLruCache {
     std::unordered_map<std::string, typename std::list<Entry>::iterator> index;
   };
 
-  /// 0 -> topology-derived (power of two >= max(8, 2 * hardware threads),
-  /// capped at 256); explicit values round up to a power of two.
-  static size_t DeriveShards(size_t requested) {
-    size_t target = requested;
-    if (target == 0) {
-      target = 2 * static_cast<size_t>(AvailableCpus());
-      if (target < 8) target = 8;
-    }
+  /// 0 -> 8; other values round up to a power of two, capped at 256.
+  static size_t RoundShards(size_t requested) {
+    size_t target = requested == 0 ? 8 : requested;
     size_t p = 1;
     while (p < target && p < 256) p <<= 1;
     return p;
@@ -205,9 +173,9 @@ class ShardedLruCache {
   size_t per_shard_capacity_ = 1;
   size_t shard_mask_ = 0;
   std::vector<Shard> shards_;
-  mutable StripedCounter hits_;
-  mutable StripedCounter misses_;
-  mutable StripedCounter evictions_;
+  std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace ganswer

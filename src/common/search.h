@@ -2,15 +2,7 @@
 #define GANSWER_COMMON_SEARCH_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define GANSWER_SEARCH_X86 1
-#endif
 
 namespace ganswer {
 
@@ -55,241 +47,6 @@ It GallopingLowerBound(It first, It last, const T& value, Comp comp = {}) {
   size_t lo = bound / 2;  // first[lo - 1] < value already established
   size_t hi = bound < n ? bound : n;
   return BranchlessLowerBound(first + lo, first + hi, value, comp);
-}
-
-// ---------------------------------------------------------------------------
-// SIMD probe kernels.
-//
-// The sorted runs the engine probes are flat uint32 columns: CSR adjacency
-// slices laid out as (predicate, neighbor) records and PSO/POS permutation
-// groups laid out as (key, payload) pairs, both probed by the leading
-// uint32 key. A lower bound over such a run bisects until the window fits
-// one vector sweep, then counts window elements below the key with packed
-// compares — the count IS the lower-bound offset, because the window is
-// sorted. The block sweep replaces the last ~6 data-dependent bisection
-// steps (each a likely cache/branch stall on a random probe key) with a
-// handful of independent 8-wide compares.
-//
-// Dispatch is resolved once at startup: AVX2 when the CPU has it, SSE2 on
-// any x86-64, scalar elsewhere — and GANSWER_NO_SIMD=1 forces scalar, the
-// knob the byte-identity differential tests flip. Every kernel returns
-// positions byte-identical to std::lower_bound on the same keys.
-// ---------------------------------------------------------------------------
-
-/// Which probe kernel the runtime dispatch selected.
-enum class ProbeKernel { kScalar, kSse2, kAvx2 };
-
-namespace search_internal {
-
-/// Elements of the sorted window p[0..n) strictly below key, scanned with
-/// a compile-time stride in uint32 lanes (1 = flat column, 2 = the leading
-/// key of (key, payload) records). n counts *elements*, not lanes.
-template <size_t kStride>
-inline size_t CountLessScalar(const uint32_t* p, size_t n, uint32_t key) {
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) count += p[i * kStride] < key ? 1 : 0;
-  return count;
-}
-
-#if defined(GANSWER_SEARCH_X86)
-
-// Unsigned compare via sign-bias: (a ^ 0x80000000) <signed (b ^ 0x80000000)
-// == a <unsigned b.
-
-__attribute__((target("sse2"))) inline size_t CountLessSse2Flat(
-    const uint32_t* p, size_t n, uint32_t key) {
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i vkey =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(key)), bias);
-  size_t count = 0, i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i v = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + i)), bias);
-    __m128i lt = _mm_cmplt_epi32(v, vkey);
-    count += static_cast<size_t>(
-        __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(lt))));
-  }
-  for (; i < n; ++i) count += p[i] < key ? 1 : 0;
-  return count;
-}
-
-__attribute__((target("sse2"))) inline size_t CountLessSse2Pair(
-    const uint32_t* p, size_t n, uint32_t key) {
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i vkey =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(key)), bias);
-  size_t count = 0, i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // 4 records = 8 lanes; gather the even (key) lanes of both halves.
-    // Lane order inside the vector is irrelevant: we only count.
-    __m128 a = _mm_loadu_ps(reinterpret_cast<const float*>(p + 2 * i));
-    __m128 b = _mm_loadu_ps(reinterpret_cast<const float*>(p + 2 * i + 4));
-    __m128i keys = _mm_castps_si128(_mm_shuffle_ps(a, b, 0x88));
-    __m128i lt = _mm_cmplt_epi32(_mm_xor_si128(keys, bias), vkey);
-    count += static_cast<size_t>(
-        __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(lt))));
-  }
-  for (; i < n; ++i) count += p[i * 2] < key ? 1 : 0;
-  return count;
-}
-
-__attribute__((target("avx2"))) inline size_t CountLessAvx2Flat(
-    const uint32_t* p, size_t n, uint32_t key) {
-  const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i vkey =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(key)), bias);
-  size_t count = 0, i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + i)), bias);
-    __m256i lt = _mm256_cmpgt_epi32(vkey, v);
-    count += static_cast<size_t>(
-        __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(lt))));
-  }
-  for (; i < n; ++i) count += p[i] < key ? 1 : 0;
-  return count;
-}
-
-__attribute__((target("avx2"))) inline size_t CountLessAvx2Pair(
-    const uint32_t* p, size_t n, uint32_t key) {
-  const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i vkey =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(key)), bias);
-  size_t count = 0, i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // 8 records = 16 lanes across two vectors; shuffle the key lanes of
-    // both into one vector (order scrambled across 128-bit halves — fine,
-    // we only count).
-    __m256 a = _mm256_loadu_ps(reinterpret_cast<const float*>(p + 2 * i));
-    __m256 b =
-        _mm256_loadu_ps(reinterpret_cast<const float*>(p + 2 * i + 8));
-    __m256i keys = _mm256_castps_si256(_mm256_shuffle_ps(a, b, 0x88));
-    __m256i lt = _mm256_cmpgt_epi32(vkey, _mm256_xor_si256(keys, bias));
-    count += static_cast<size_t>(
-        __builtin_popcount(_mm256_movemask_ps(_mm256_castsi256_ps(lt))));
-  }
-  for (; i < n; ++i) count += p[i * 2] < key ? 1 : 0;
-  return count;
-}
-
-#endif  // GANSWER_SEARCH_X86
-
-using CountLessFn = size_t (*)(const uint32_t*, size_t, uint32_t);
-
-struct ProbeDispatch {
-  ProbeKernel kernel = ProbeKernel::kScalar;
-  CountLessFn flat = &CountLessScalar<1>;
-  CountLessFn pair = &CountLessScalar<2>;
-};
-
-inline ProbeDispatch ResolveProbeDispatch(ProbeKernel want) {
-  ProbeDispatch d;
-#if defined(GANSWER_SEARCH_X86)
-  if (want == ProbeKernel::kScalar) return d;
-  if (want == ProbeKernel::kAvx2 && __builtin_cpu_supports("avx2")) {
-    d.kernel = ProbeKernel::kAvx2;
-    d.flat = &CountLessAvx2Flat;
-    d.pair = &CountLessAvx2Pair;
-    return d;
-  }
-#if defined(__x86_64__)
-  // SSE2 is architecturally guaranteed on x86-64.
-  if (want == ProbeKernel::kSse2 || want == ProbeKernel::kAvx2) {
-    d.kernel = ProbeKernel::kSse2;
-    d.flat = &CountLessSse2Flat;
-    d.pair = &CountLessSse2Pair;
-  }
-#endif
-#else
-  (void)want;
-#endif
-  return d;
-}
-
-inline ProbeDispatch& MutableProbeDispatch() {
-  static ProbeDispatch dispatch = [] {
-    const char* env = std::getenv("GANSWER_NO_SIMD");
-    bool scalar = env != nullptr && std::strcmp(env, "1") == 0;
-    return ResolveProbeDispatch(scalar ? ProbeKernel::kScalar
-                                       : ProbeKernel::kAvx2);
-  }();
-  return dispatch;
-}
-
-/// Bisect to a window of at most kWindow elements, then vector-count.
-constexpr size_t kProbeWindow = 64;
-
-}  // namespace search_internal
-
-/// The kernel the dispatch resolved at startup (or was forced to).
-inline ProbeKernel ActiveProbeKernel() {
-  return search_internal::MutableProbeDispatch().kernel;
-}
-
-inline const char* ProbeKernelName(ProbeKernel k) {
-  switch (k) {
-    case ProbeKernel::kScalar:
-      return "scalar";
-    case ProbeKernel::kSse2:
-      return "sse2";
-    case ProbeKernel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-/// TEST/BENCH ONLY: forces the dispatch to \p kernel (downgraded to the
-/// best supported level; requesting AVX2 on a non-AVX2 CPU yields SSE2).
-/// Returns the kernel actually installed. Not thread-safe against
-/// concurrent probes — flip it only from single-threaded test setup.
-inline ProbeKernel SetProbeKernelForTest(ProbeKernel kernel) {
-  search_internal::MutableProbeDispatch() =
-      search_internal::ResolveProbeDispatch(kernel);
-  return ActiveProbeKernel();
-}
-
-/// \brief SIMD lower bound over a sorted flat uint32 column. Identical
-/// result to std::lower_bound(first, last, key).
-inline const uint32_t* SimdLowerBoundU32(const uint32_t* first,
-                                         const uint32_t* last, uint32_t key) {
-  size_t n = static_cast<size_t>(last - first);
-  while (n > search_internal::kProbeWindow) {
-    size_t half = n / 2;
-    first += first[half - 1] < key ? half : 0;
-    n -= half;
-  }
-  return first + search_internal::MutableProbeDispatch().flat(first, n, key);
-}
-
-/// \brief SIMD lower bound over a sorted run of (key, payload) uint32
-/// records, compared by the leading key. \p first/\p last bound the run in
-/// uint32 lanes (2 per record); the returned pointer is record-aligned.
-/// Identical result to std::lower_bound over the records with a
-/// first-field comparator.
-inline const uint32_t* SimdLowerBoundPairKey(const uint32_t* first,
-                                             const uint32_t* last,
-                                             uint32_t key) {
-  size_t n = static_cast<size_t>(last - first) / 2;  // records
-  while (n > search_internal::kProbeWindow) {
-    size_t half = n / 2;
-    first += first[2 * (half - 1)] < key ? 2 * half : 0;
-    n -= half;
-  }
-  return first +
-         2 * search_internal::MutableProbeDispatch().pair(first, n, key);
-}
-
-/// \brief Galloping variant of SimdLowerBoundPairKey for probes expected
-/// to land near \p first (merge-join advances). Same result contract.
-inline const uint32_t* SimdGallopingLowerBoundPairKey(const uint32_t* first,
-                                                      const uint32_t* last,
-                                                      uint32_t key) {
-  size_t n = static_cast<size_t>(last - first) / 2;  // records
-  size_t bound = 1;
-  while (bound < n && first[2 * (bound - 1)] < key) bound *= 2;
-  size_t lo = bound / 2;  // key at record lo-1 already < key
-  size_t hi = bound < n ? bound : n;
-  return SimdLowerBoundPairKey(first + 2 * lo, first + 2 * hi, key);
 }
 
 }  // namespace ganswer

@@ -7,22 +7,17 @@
 
 namespace ganswer {
 
-namespace {
-thread_local int tls_worker_id = -1;
-}  // namespace
-
 int ThreadPool::ResolveThreads(int requested) {
   if (requested > 0) return requested;
   if (requested < 0) return 1;
   return AvailableCpus();
 }
 
-ThreadPool::ThreadPool(Options options) {
-  int n = ResolveThreads(options.threads);
+ThreadPool::ThreadPool(int threads) {
+  int n = ResolveThreads(threads);
   workers_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back(
-        [this, i, pin = options.pin_workers] { WorkerLoop(i, pin); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -35,20 +30,7 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-int ThreadPool::CurrentWorkerId() { return tls_worker_id; }
-
-void ThreadPool::WorkerLoop(int worker_id, bool pin) {
-  tls_worker_id = worker_id;
-  // Align this worker's counter stripe with its id so a worker's
-  // increments stay on one cache line whether or not pinning succeeds.
-  SetCurrentCpuHint(worker_id);
-  if (pin) {
-    const CpuTopology& topo = Topology();
-    int cpu = topo.cpus[static_cast<size_t>(worker_id) % topo.cpus.size()];
-    if (PinCurrentThreadToCpu(cpu)) {
-      pinned_workers_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {

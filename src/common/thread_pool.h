@@ -1,7 +1,6 @@
 #ifndef GANSWER_COMMON_THREAD_POOL_H_
 #define GANSWER_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -38,27 +37,10 @@ struct ExecutionOptions {
 /// subgraph search); queue contention is negligible next to task cost, and
 /// the simple design is ThreadSanitizer-clean by construction.
 ///
-/// Core awareness: every worker publishes a dense worker id — readable from
-/// inside a task via CurrentWorkerId() and installed as the thread's
-/// CurrentCpuHint so striped counters align increments with workers — and
-/// Options::pin_workers additionally pins worker i to the i-th available
-/// CPU (round-robin over Topology().cpus). Pinning is strictly best-effort:
-/// when the syscall is refused or GANSWER_NO_AFFINITY=1, workers run
-/// unpinned and everything else is unchanged.
-///
 /// Destruction drains nothing: outstanding tasks are completed, then the
 /// workers join. Submit after destruction has begun is a programming error.
 class ThreadPool {
  public:
-  struct Options {
-    /// ResolveThreads() applied: 0 -> available CPUs.
-    int threads = 0;
-    /// Pin worker i to the i-th available CPU (best-effort; see class
-    /// comment). Off by default — oversubscribed or shared boxes schedule
-    /// better unpinned.
-    bool pin_workers = false;
-  };
-
   /// Resolves a user-facing thread count: 0 -> AvailableCpus() (cpuset-
   /// aware, at least 1), negative values are treated as 1.
   static int ResolveThreads(int requested);
@@ -67,26 +49,13 @@ class ThreadPool {
   /// one worker thread; callers wanting a truly serial path should branch
   /// on ResolveThreads(...) <= 1 before constructing a pool (ParallelFor
   /// does this internally via the static Run helper).
-  explicit ThreadPool(int threads = 0) : ThreadPool(Options{threads, false}) {}
-  explicit ThreadPool(Options options);
+  explicit ThreadPool(int threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int size() const { return static_cast<int>(workers_.size()); }
-
-  /// How many workers actually got pinned to a CPU (0 when pin_workers was
-  /// off or affinity is unavailable). Exposed for tests and /stats; may be
-  /// read while workers are still starting up, hence atomic.
-  int pinned_workers() const {
-    return pinned_workers_.load(std::memory_order_relaxed);
-  }
-
-  /// The dense worker id [0, size()) of the calling pool worker, or -1 on
-  /// any thread that is not a pool worker (including the caller of
-  /// ParallelFor while it blocks).
-  static int CurrentWorkerId();
 
   /// Enqueues \p fn and returns a future for its result. Exceptions thrown
   /// by \p fn are captured in the future.
@@ -122,13 +91,12 @@ class ThreadPool {
                   const std::function<void(size_t)>& fn);
 
  private:
-  void WorkerLoop(int worker_id, bool pin);
+  void WorkerLoop();
 
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stop_ = false;
-  std::atomic<int> pinned_workers_{0};
   std::vector<std::thread> workers_;
 };
 

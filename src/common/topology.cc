@@ -1,226 +1,20 @@
 #include "common/topology.h"
 
-#include <pthread.h>
 #include <sched.h>
 
-#include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <set>
 #include <thread>
-#include <utility>
 
 namespace ganswer {
 
-namespace {
-
-/// Reads the first line of \p path into \p out. False when the file is
-/// missing or unreadable — every caller has a fallback.
-bool ReadFirstLine(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char buf[512];
-  bool ok = std::fgets(buf, sizeof(buf), f) != nullptr;
-  std::fclose(f);
-  if (!ok) return false;
-  size_t len = std::strlen(buf);
-  while (len > 0 && (buf[len - 1] == '\n' || buf[len - 1] == '\r')) --len;
-  out->assign(buf, len);
-  return true;
-}
-
-bool ReadInt(const std::string& path, int* out) {
-  std::string line;
-  if (!ReadFirstLine(path, &line) || line.empty()) return false;
-  char* end = nullptr;
-  long v = std::strtol(line.c_str(), &end, 10);
-  if (end == line.c_str()) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
-
-/// Parses a sysfs cpu list ("0-3,8,10-11") into sorted ids. Malformed
-/// pieces are skipped rather than failing the whole list.
-std::vector<int> ParseCpuList(const std::string& text) {
-  std::vector<int> cpus;
-  const char* p = text.c_str();
-  while (*p != '\0') {
-    char* end = nullptr;
-    long lo = std::strtol(p, &end, 10);
-    if (end == p) break;
-    long hi = lo;
-    p = end;
-    if (*p == '-') {
-      ++p;
-      hi = std::strtol(p, &end, 10);
-      if (end == p) break;
-      p = end;
-    }
-    for (long c = lo; c <= hi && c - lo < 4096; ++c) {
-      if (c >= 0) cpus.push_back(static_cast<int>(c));
-    }
-    if (*p == ',') ++p;
-  }
-  std::sort(cpus.begin(), cpus.end());
-  cpus.erase(std::unique(cpus.begin(), cpus.end()), cpus.end());
-  return cpus;
-}
-
-/// The cpu ids this process may run on per sched_getaffinity; falls back
-/// to hardware_concurrency-many sequential ids when the syscall fails.
-std::vector<int> AllowedCpus() {
+int AvailableCpus() {
   cpu_set_t set;
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    std::vector<int> cpus;
-    for (int c = 0; c < CPU_SETSIZE; ++c) {
-      if (CPU_ISSET(c, &set)) cpus.push_back(c);
-    }
-    if (!cpus.empty()) return cpus;
+    int n = CPU_COUNT(&set);
+    if (n > 0) return n;
   }
   unsigned hw = std::thread::hardware_concurrency();
-  std::vector<int> cpus;
-  for (unsigned c = 0; c < std::max(1u, hw); ++c) {
-    cpus.push_back(static_cast<int>(c));
-  }
-  return cpus;
+  return hw > 0 ? static_cast<int>(hw) : 1;
 }
-
-}  // namespace
-
-CpuTopology ReadCpuTopology(const std::string& sysfs_cpu_root,
-                            const std::vector<int>& allowed) {
-  CpuTopology topo;
-  topo.cpus = allowed;
-  if (topo.cpus.empty()) {
-    // No restriction supplied: prefer the tree's own "online" (or
-    // "present") cpu-list file, the authoritative enumeration.
-    std::string list;
-    if (ReadFirstLine(sysfs_cpu_root + "/online", &list) ||
-        ReadFirstLine(sysfs_cpu_root + "/present", &list)) {
-      topo.cpus = ParseCpuList(list);
-    }
-  }
-  if (topo.cpus.empty()) {
-    // Older trees and sparse fixtures: take every cpuN/ directory present,
-    // probed by files that exist in every real tree and every fixture.
-    for (int c = 0; c < 4096; ++c) {
-      std::string dir = sysfs_cpu_root + "/cpu" + std::to_string(c);
-      std::FILE* probe =
-          std::fopen((dir + "/topology/physical_package_id").c_str(), "r");
-      std::FILE* online = probe == nullptr
-                              ? std::fopen((dir + "/online").c_str(), "r")
-                              : nullptr;
-      if (probe != nullptr) {
-        std::fclose(probe);
-        topo.cpus.push_back(c);
-      } else if (online != nullptr) {
-        std::fclose(online);
-        topo.cpus.push_back(c);
-      } else if (c > 0) {
-        break;  // dense numbering: the first gap ends the scan
-      }
-    }
-  }
-  if (topo.cpus.empty()) topo.cpus.push_back(0);
-  std::sort(topo.cpus.begin(), topo.cpus.end());
-  topo.cpus.erase(std::unique(topo.cpus.begin(), topo.cpus.end()),
-                  topo.cpus.end());
-
-  int max_cpu = topo.cpus.back();
-  topo.cpu_socket.assign(static_cast<size_t>(max_cpu) + 1, -1);
-  topo.cpu_core.assign(static_cast<size_t>(max_cpu) + 1, -1);
-
-  std::set<int> sockets;
-  std::set<std::pair<int, int>> cores;  // (socket, core id) pairs
-  bool any_topology = false;
-  for (int c : topo.cpus) {
-    std::string base =
-        sysfs_cpu_root + "/cpu" + std::to_string(c) + "/topology/";
-    int pkg = -1;
-    int core = -1;
-    if (ReadInt(base + "physical_package_id", &pkg)) any_topology = true;
-    ReadInt(base + "core_id", &core);
-    topo.cpu_socket[static_cast<size_t>(c)] = pkg;
-    sockets.insert(pkg < 0 ? 0 : pkg);
-    // Fold (socket, core) into one global key so cpu_core values collide
-    // exactly for SMT siblings; a cpu with no core_id is its own core.
-    cores.insert({pkg < 0 ? 0 : pkg, core < 0 ? -(c + 1) : core});
-  }
-  // Assign dense core keys once the set is complete (set order is stable).
-  for (int c : topo.cpus) {
-    std::string base =
-        sysfs_cpu_root + "/cpu" + std::to_string(c) + "/topology/";
-    int pkg = topo.cpu_socket[static_cast<size_t>(c)];
-    int core = -1;
-    ReadInt(base + "core_id", &core);
-    std::pair<int, int> key{pkg < 0 ? 0 : pkg, core < 0 ? -(c + 1) : core};
-    topo.cpu_core[static_cast<size_t>(c)] =
-        static_cast<int>(std::distance(cores.begin(), cores.find(key)));
-  }
-  topo.sockets = std::max<int>(1, static_cast<int>(sockets.size()));
-  topo.physical_cores = std::max<int>(1, static_cast<int>(cores.size()));
-  topo.smt = topo.physical_cores < static_cast<int>(topo.cpus.size());
-  if (!any_topology) {
-    // Fixture/container without the topology files: one socket of
-    // independent cores — the conservative single-node fallback.
-    topo.sockets = 1;
-    topo.physical_cores = static_cast<int>(topo.cpus.size());
-    topo.smt = false;
-  }
-
-  int line = 0;
-  if (ReadInt(sysfs_cpu_root + "/cpu" + std::to_string(topo.cpus.front()) +
-                  "/cache/index0/coherency_line_size",
-              &line) &&
-      line > 0 && line <= 4096) {
-    topo.cache_line_bytes = line;
-  }
-  return topo;
-}
-
-const CpuTopology& Topology() {
-  static const CpuTopology topo =
-      ReadCpuTopology("/sys/devices/system/cpu", AllowedCpus());
-  return topo;
-}
-
-int AvailableCpus() { return Topology().hardware_threads(); }
-
-bool AffinityEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("GANSWER_NO_AFFINITY");
-    return env == nullptr || std::strcmp(env, "1") != 0;
-  }();
-  return enabled;
-}
-
-bool PinCurrentThreadToCpu(int cpu) {
-  if (!AffinityEnabled()) return false;
-  const CpuTopology& topo = Topology();
-  if (std::find(topo.cpus.begin(), topo.cpus.end(), cpu) == topo.cpus.end()) {
-    return false;
-  }
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-}
-
-namespace {
-thread_local int tls_cpu_hint = -1;
-std::atomic<int> next_cpu_hint{0};
-}  // namespace
-
-int CurrentCpuHint() {
-  if (tls_cpu_hint < 0) {
-    tls_cpu_hint = next_cpu_hint.fetch_add(1, std::memory_order_relaxed);
-  }
-  return tls_cpu_hint;
-}
-
-void SetCurrentCpuHint(int hint) { tls_cpu_hint = hint < 0 ? -1 : hint; }
 
 }  // namespace ganswer

@@ -1,88 +1,13 @@
 #ifndef GANSWER_COMMON_TOPOLOGY_H_
 #define GANSWER_COMMON_TOPOLOGY_H_
 
-#include <cstddef>
-#include <string>
-#include <vector>
-
 namespace ganswer {
 
-/// \brief What the machine looks like to this process: the CPUs it may run
-/// on (cpuset-aware, not the raw core count), how they group into sockets
-/// and physical cores, and the cache-line size.
-///
-/// Discovered once from sysfs (/sys/devices/system/cpu) intersected with
-/// sched_getaffinity(2); every sizing decision in the serving hot path —
-/// thread-pool width, cache shard count, counter stripe count — routes
-/// through this instead of std::thread::hardware_concurrency(), which
-/// reports the whole box even when a container cpuset confines the process
-/// to a slice of it.
-///
-/// Degradation is always graceful: on a machine without the sysfs tree
-/// (or a fixture missing files) the description collapses to one socket of
-/// independent single-thread cores with 64-byte lines — never an error.
-struct CpuTopology {
-  /// CPUs this process may run on, ascending. Never empty.
-  std::vector<int> cpus;
-  /// cpu id -> socket (physical package) id; -1 where sysfs was silent.
-  /// Indexed by cpu id, so it spans [0, max cpu id].
-  std::vector<int> cpu_socket;
-  /// cpu id -> globally unique physical-core key (socket and core folded
-  /// together); -1 where unknown. Two cpus with the same key are SMT
-  /// siblings sharing one core's execution resources and L1/L2.
-  std::vector<int> cpu_core;
-  /// Distinct sockets among `cpus` (>= 1).
-  int sockets = 1;
-  /// Distinct physical cores among `cpus` (>= 1).
-  int physical_cores = 1;
-  /// True when at least two of our cpus are SMT siblings.
-  bool smt = false;
-  /// L1 coherency line size in bytes (64 when sysfs is silent).
-  int cache_line_bytes = 64;
-
-  /// Number of CPUs available to this process (cpus.size(), >= 1).
-  int hardware_threads() const { return static_cast<int>(cpus.size()); }
-};
-
-/// Parses a sysfs-style cpu tree rooted at \p sysfs_cpu_root (the directory
-/// holding cpu0/, cpu1/, ...), restricted to the cpu ids in \p allowed.
-/// An empty \p allowed means "every cpuN/ directory present". Missing or
-/// malformed files degrade field by field (see CpuTopology). Exposed
-/// separately from Topology() so tests can run it over fixture trees.
-CpuTopology ReadCpuTopology(const std::string& sysfs_cpu_root,
-                            const std::vector<int>& allowed);
-
-/// The live topology of this process: ReadCpuTopology over the real sysfs
-/// tree, restricted by sched_getaffinity(2). Computed once and cached; the
-/// serving tier sizes everything off the first call's snapshot.
-const CpuTopology& Topology();
-
-/// CPUs available to this process (cpuset-aware), always >= 1. The drop-in
-/// replacement for std::thread::hardware_concurrency() call sites.
+/// CPUs this process may run on, always >= 1: the CPU_COUNT of its
+/// sched_getaffinity(2) mask, so a container cpuset confining the process
+/// to a slice of the box is honoured. The drop-in replacement for
+/// std::thread::hardware_concurrency(), which reports the whole box.
 int AvailableCpus();
-
-/// False when GANSWER_NO_AFFINITY=1 — the escape hatch that turns every
-/// PinCurrentThreadToCpu() into a successful no-op, for schedulers or test
-/// environments where pinning misbehaves. Read once and cached.
-bool AffinityEnabled();
-
-/// Pins the calling thread to \p cpu via pthread_setaffinity_np. Returns
-/// true when the thread is now confined to that cpu; false — never an
-/// error, callers keep running unpinned — when affinity is disabled
-/// (GANSWER_NO_AFFINITY=1), \p cpu is not in Topology().cpus, or the
-/// syscall is unavailable/refused (seccomp-confined containers).
-bool PinCurrentThreadToCpu(int cpu);
-
-/// A small dense id for the calling thread, used to pick counter stripes
-/// and per-core structures without a syscall per increment: pinned pool
-/// workers get their worker slot (set via SetCurrentCpuHint), every other
-/// thread gets a process-wide round-robin id on first use. Stable for the
-/// thread's lifetime, non-negative.
-int CurrentCpuHint();
-
-/// Overrides the calling thread's hint (ThreadPool workers call this with
-/// their worker id so stripes align with workers even when unpinned).
-void SetCurrentCpuHint(int hint);
 
 }  // namespace ganswer
 

@@ -57,8 +57,7 @@ class GAnswer {
     /// a sharded LRU keyed by the normalized question text and a hit is
     /// served without running understanding or matching.
     size_t question_cache_capacity = 0;
-    /// 0 = derive the shard count from the CPU topology (see
-    /// common/lru_cache.h — power of two, scales with available cores).
+    /// 0 = the cache's default of 8 shards (common/lru_cache.h).
     size_t question_cache_shards = 0;
     /// Identity of the offline data this system serves (use the snapshot
     /// fingerprint, store::Snapshot::fingerprint). Mixed into every cache

@@ -7,7 +7,6 @@
 #include <limits>
 #include <set>
 #include <span>
-#include <type_traits>
 #include <unordered_map>
 
 #include "common/search.h"
@@ -20,35 +19,24 @@ namespace {
 
 constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
 
-// The SIMD probe kernels treat Edge and the PSO/POS pairs as sorted runs
-// of (key, payload) uint32 records; these asserts pin the layout the
-// reinterpret_casts below rely on.
-static_assert(sizeof(Edge) == 2 * sizeof(uint32_t));
-static_assert(offsetof(Edge, predicate) == 0);
-static_assert(offsetof(Edge, neighbor) == sizeof(uint32_t));
-static_assert(sizeof(std::pair<TermId, TermId>) == 2 * sizeof(uint32_t));
-static_assert(std::is_standard_layout_v<std::pair<TermId, TermId>>);
-
-// SIMD lower bound for the first Edge with .predicate >= p. Byte-identical
-// to BranchlessLowerBound(begin, end, Edge{p, 0}): neighbor = 0 is minimal,
-// so the full (predicate, neighbor) lower bound is exactly the first-key
-// lower bound the stride-2 kernel computes.
+// First Edge with .predicate >= p in a (predicate, neighbor)-sorted
+// adjacency run.
 const Edge* EdgeRunLowerBound(std::span<const Edge> edges, TermId p) {
-  const uint32_t* base = reinterpret_cast<const uint32_t*>(edges.data());
-  const uint32_t* lb =
-      SimdLowerBoundPairKey(base, base + 2 * edges.size(), p);
-  return edges.data() + (lb - base) / 2;
+  return BranchlessLowerBound(
+      edges.data(), edges.data() + edges.size(), p,
+      [](const Edge& e, TermId key) { return e.predicate < key; });
 }
 
-// SIMD galloping advance over a sorted (key, payload) pair run; identical
-// to GallopingLowerBound with a first-field comparator and key {k, 0}.
+// Galloping advance to the first pair with .first >= k in a sorted
+// permutation run.
 const std::pair<TermId, TermId>* PairRunGallop(
     const std::pair<TermId, TermId>* first,
     const std::pair<TermId, TermId>* last, TermId k) {
-  const uint32_t* base = reinterpret_cast<const uint32_t*>(first);
-  const uint32_t* end = reinterpret_cast<const uint32_t*>(last);
-  const uint32_t* lb = SimdGallopingLowerBoundPairKey(base, end, k);
-  return first + (lb - base) / 2;
+  return GallopingLowerBound(
+      first, last, k,
+      [](const std::pair<TermId, TermId>& e, TermId key) {
+        return e.first < key;
+      });
 }
 
 // A triple pattern with constants resolved to term ids and variables
@@ -224,12 +212,13 @@ size_t SparqlEngine::PredSlot(TermId p) const {
 
 SparqlEngine::PlannerCounters SparqlEngine::planner_counters() const {
   PlannerCounters c;
-  c.planned_queries = planned_queries_.Value();
-  c.naive_queries = naive_queries_.Value();
-  c.range_lookups = range_lookups_.Value();
-  c.full_scans = full_scans_.Value();
-  c.intermediate_bindings = intermediate_bindings_.Value();
-  c.merge_joins = merge_joins_.Value();
+  c.planned_queries = planned_queries_.load(std::memory_order_relaxed);
+  c.naive_queries = naive_queries_.load(std::memory_order_relaxed);
+  c.range_lookups = range_lookups_.load(std::memory_order_relaxed);
+  c.full_scans = full_scans_.load(std::memory_order_relaxed);
+  c.intermediate_bindings =
+      intermediate_bindings_.load(std::memory_order_relaxed);
+  c.merge_joins = merge_joins_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -315,10 +304,10 @@ StatusOr<std::vector<std::vector<TermId>>> SparqlEngine::EvaluateBgp(
          PlanJoinOrder(graph_, *stats_, resolved, rs.var_slots.size())) {
       order.push_back(i);
     }
-    planned_queries_.Increment();
+    planned_queries_.fetch_add(1, std::memory_order_relaxed);
   } else {
     for (size_t i = 0; i < resolved.size(); ++i) order.push_back(i);
-    naive_queries_.Increment();
+    naive_queries_.fetch_add(1, std::memory_order_relaxed);
   }
 
   std::vector<TermId> binding(rs.var_slots.size(), kInvalidTerm);
@@ -347,8 +336,8 @@ StatusOr<std::vector<std::vector<TermId>>> SparqlEngine::EvaluateBgp(
     if (sb) {
       auto edges = graph_.OutEdges(s);
       if (planned && pb) {
-        // Vector probe to the predicate run instead of filtering the
-        // whole adjacency list.
+        // Binary-search the predicate run instead of filtering the whole
+        // adjacency list.
         ++local_range;
         const Edge* it = EdgeRunLowerBound(edges, p);
         const Edge* end = edges.data() + edges.size();
@@ -499,7 +488,7 @@ StatusOr<std::vector<std::vector<TermId>>> SparqlEngine::EvaluateBgp(
     while (ia != sa->end && ib != sb->end && !done) {
       if (ia->first < ib->first) {
         // The next matching key is usually a few entries ahead, so gallop:
-        // exponential probe + vector-counted binary search in the bracket
+        // exponential probe + branchless binary search in the bracket
         // beats a full-width lower_bound on long permutation runs.
         ia = PairRunGallop(ia, sa->end, ib->first);
         continue;
@@ -533,10 +522,10 @@ StatusOr<std::vector<std::vector<TermId>>> SparqlEngine::EvaluateBgp(
 
   if (!try_merge_join()) recurse(recurse, 0);
 
-  range_lookups_.Add(local_range);
-  full_scans_.Add(local_full);
-  intermediate_bindings_.Add(local_bind);
-  merge_joins_.Add(local_merge);
+  range_lookups_.fetch_add(local_range, std::memory_order_relaxed);
+  full_scans_.fetch_add(local_full, std::memory_order_relaxed);
+  intermediate_bindings_.fetch_add(local_bind, std::memory_order_relaxed);
+  merge_joins_.fetch_add(local_merge, std::memory_order_relaxed);
   return rows;
 }
 

@@ -1,12 +1,12 @@
 #ifndef GANSWER_RDF_SPARQL_ENGINE_H_
 #define GANSWER_RDF_SPARQL_ENGINE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/status.h"
-#include "common/striped_counter.h"
 #include "rdf/graph_stats.h"
 #include "rdf/rdf_graph.h"
 #include "rdf/sparql.h"
@@ -45,11 +45,10 @@ class SparqlEngine {
     const GraphStats* stats = nullptr;
   };
 
-  /// Cumulative execution counters — striped per core (StripedCounter)
-  /// since one engine instance is shared across all server workers, and a
-  /// shared atomic hammered per join step was a measurable hot-path
-  /// contention point. Values are exact; benches read deltas around a
-  /// workload to get per-query intermediate-binding counts.
+  /// Cumulative execution counters, exact across the server workers that
+  /// share one engine; each query adds its totals once. Benches read
+  /// deltas around a workload to get per-query intermediate-binding
+  /// counts.
   struct PlannerCounters {
     /// Queries whose BGP went through the cost-based orderer.
     uint64_t planned_queries = 0;
@@ -123,12 +122,12 @@ class SparqlEngine {
   std::vector<std::pair<TermId, TermId>> pso_;        // (s, o), sorted
   std::vector<std::pair<TermId, TermId>> pos_;        // (o, s), sorted
 
-  mutable StripedCounter planned_queries_;
-  mutable StripedCounter naive_queries_;
-  mutable StripedCounter range_lookups_;
-  mutable StripedCounter full_scans_;
-  mutable StripedCounter intermediate_bindings_;
-  mutable StripedCounter merge_joins_;
+  mutable std::atomic<uint64_t> planned_queries_{0};
+  mutable std::atomic<uint64_t> naive_queries_{0};
+  mutable std::atomic<uint64_t> range_lookups_{0};
+  mutable std::atomic<uint64_t> full_scans_{0};
+  mutable std::atomic<uint64_t> intermediate_bindings_{0};
+  mutable std::atomic<uint64_t> merge_joins_{0};
 };
 
 }  // namespace rdf

@@ -80,6 +80,10 @@ QaService::QaService(Options options) : options_(std::move(options)) {}
 QaService::~QaService() { Shutdown(); }
 
 Status QaService::Start() {
+  if (options_.max_queue < 1) {
+    return Status::InvalidArgument("max_queue must be at least 1, got " +
+                                   std::to_string(options_.max_queue));
+  }
   if (!options_.live_dir.empty()) return StartLive();
   WallTimer timer;
   auto snapshot = store::ReadSnapshotFile(
@@ -143,8 +147,7 @@ Status QaService::StartLive() {
 }
 
 Status QaService::StartHttp() {
-  pool_ = std::make_unique<ThreadPool>(
-      ThreadPool::Options{options_.threads, options_.pin_workers});
+  pool_ = std::make_unique<ThreadPool>(options_.threads);
   HttpServer::Options http_options;
   http_options.bind_address = options_.bind_address;
   http_options.port = options_.port;
@@ -265,7 +268,7 @@ bool QaService::Admit(const HttpServer::ResponseWriter& writer,
   if (admitted_.fetch_add(1, std::memory_order_relaxed) >=
       options_.max_queue) {
     admitted_.fetch_sub(1, std::memory_order_relaxed);
-    shed_queue_full_.Increment();
+    shed_queue_full_.fetch_add(1, std::memory_order_relaxed);
     Record(cell, 0.0, 503);
     JsonWriter w;
     w.BeginObject()
@@ -290,7 +293,7 @@ bool QaService::Admit(const HttpServer::ResponseWriter& writer,
       queue_wait_.hist.RecordMillis(waited_ms);
     }
     if (deadline_ms > 0 && waited_ms > static_cast<double>(deadline_ms)) {
-      shed_deadline_.Increment();
+      shed_deadline_.fetch_add(1, std::memory_order_relaxed);
       Record(cell, waited_ms, 503);
       JsonWriter w;
       w.BeginObject()
@@ -344,7 +347,7 @@ void QaService::HandleAnswer(const HttpRequest& request,
       request.Header("X-No-Fast-Path") == nullptr) {
     if (auto hit = system.ProbeCache(q)) {
       std::string body = AnswerToJson(q, *hit, /*cache_hit=*/true, graph);
-      fast_path_hits_.Increment();
+      fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
       Record(&answer_stats_,
              static_cast<double>(SteadyNowUs() - admit_us) / 1000.0, 200);
       writer.Send(HttpResponse::Json(200, std::move(body)));
@@ -498,7 +501,6 @@ void QaService::HandleStats(const HttpServer::ResponseWriter& writer) {
       .EndObject();
   w.Key("workers").BeginObject();
   w.Field("threads", static_cast<int64_t>(pool_ ? pool_->size() : 0))
-      .Field("pinned", static_cast<int64_t>(pool_ ? pool_->pinned_workers() : 0))
       .EndObject();
   w.Key("server").BeginObject();
   w.Field("connections_active", http_->active_connections())

@@ -10,7 +10,6 @@
 
 #include "common/latency_histogram.h"
 #include "common/status.h"
-#include "common/striped_counter.h"
 #include "common/thread_pool.h"
 #include "nlp/lexicon.h"
 #include "qa/ganswer.h"
@@ -105,16 +104,12 @@ class QaService {
     std::string bind_address = "127.0.0.1";
     /// 0 picks an ephemeral port (tests); read back via port().
     int port = 8080;
-    /// Worker threads answering questions; 0 = CPUs available to the
-    /// process (cpuset-aware, common/topology.h).
+    /// Worker threads answering questions; 0 = the CPUs in the process's
+    /// cpuset (AvailableCpus(), common/topology.h).
     int threads = 0;
-    /// Pin worker i to the i-th available CPU (best-effort; no-op under
-    /// GANSWER_NO_AFFINITY=1 or when the scheduler refuses). Keeps a
-    /// worker's cache-hot state — counter stripes, matcher scratch — on
-    /// one core under sustained load.
-    bool pin_workers = false;
     /// Admission bound: max requests queued-or-running in the worker tier.
-    /// Overflow is answered 503 without queueing.
+    /// Overflow is answered 503 without queueing. Must be >= 1: Start()
+    /// rejects smaller values, which would shed every request.
     int max_queue = 64;
     /// Default latency budget in milliseconds for the POST endpoints;
     /// <= 0 disables deadline shedding (the pure queue-length baseline).
@@ -169,10 +164,16 @@ class QaService {
   uint64_t rejected_total() const {
     return shed_queue_full() + shed_deadline_expired();
   }
-  uint64_t shed_queue_full() const { return shed_queue_full_.Value(); }
-  uint64_t shed_deadline_expired() const { return shed_deadline_.Value(); }
+  uint64_t shed_queue_full() const {
+    return shed_queue_full_.load(std::memory_order_relaxed);
+  }
+  uint64_t shed_deadline_expired() const {
+    return shed_deadline_.load(std::memory_order_relaxed);
+  }
   /// Cache hits answered inline on the event-loop thread.
-  uint64_t fast_path_hits() const { return fast_path_hits_.Value(); }
+  uint64_t fast_path_hits() const {
+    return fast_path_hits_.load(std::memory_order_relaxed);
+  }
   EndpointStats answer_stats() const;
   EndpointStats sparql_stats() const;
   EndpointStats update_stats() const;
@@ -246,12 +247,12 @@ class QaService {
   std::unique_ptr<HttpServer> http_;
 
   /// Admission gate, not a statistic: Admit() compares the fetch_add
-  /// result against max_queue, so this must stay one shared atomic.
+  /// result against max_queue.
   std::atomic<int> admitted_{0};
-  // Pure event counters on the request path: striped per core.
-  StripedCounter shed_queue_full_;
-  StripedCounter shed_deadline_;
-  StripedCounter fast_path_hits_;
+  // Pure event counters on the request path.
+  std::atomic<uint64_t> shed_queue_full_{0};
+  std::atomic<uint64_t> shed_deadline_{0};
+  std::atomic<uint64_t> fast_path_hits_{0};
   StatsCell answer_stats_;
   StatsCell sparql_stats_;
   StatsCell update_stats_;

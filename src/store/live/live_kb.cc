@@ -17,6 +17,17 @@ namespace live {
 
 namespace {
 
+/// Adds one committed batch to the cumulative ingest counters.
+void CountBatch(const DeltaGraph::BatchStats& stats,
+                LiveKb::IngestCounters* c) {
+  ++c->batches;
+  c->triples_added += stats.added;
+  c->triples_deleted += stats.deleted;
+  c->noop_adds += stats.noop_adds;
+  c->noop_deletes += stats.noop_deletes;
+  c->new_terms += stats.new_terms;
+}
+
 Status EnsureDir(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return Status::Ok();
   return Status::IoError("mkdir " + dir + ": " + std::strerror(errno));
@@ -151,12 +162,8 @@ Status LiveKb::OpenLocked() {
     }
     DeltaGraph::BatchStats stats = delta_->Apply(rec.ops);
     epoch_ = rec.epoch;
-    batches_.Increment();
-    triples_added_.Add(stats.added);
-    triples_deleted_.Add(stats.deleted);
-    noop_adds_.Add(stats.noop_adds);
-    noop_deletes_.Add(stats.noop_deletes);
-    new_terms_.Add(stats.new_terms);
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    CountBatch(stats, &counters_);
   }
 
   auto log = IngestLog::Open(manifest_.wal);
@@ -165,11 +172,11 @@ Status LiveKb::OpenLocked() {
 
   {
     std::lock_guard<std::mutex> lock(counters_mu_);
-    gauges_.epoch = epoch_;
-    gauges_.delta_triples = delta_->delta_triples();
-    gauges_.touched_vertices = delta_->touched_vertices();
-    gauges_.delta_bytes = delta_->approx_bytes();
-    gauges_.wal_bytes = log_->size_bytes();
+    counters_.epoch = epoch_;
+    counters_.delta_triples = delta_->delta_triples();
+    counters_.touched_vertices = delta_->touched_vertices();
+    counters_.delta_bytes = delta_->approx_bytes();
+    counters_.wal_bytes = log_->size_bytes();
   }
   PublishViewLocked();
   return Status::Ok();
@@ -251,20 +258,14 @@ StatusOr<LiveKb::BatchResult> LiveKb::Apply(
     arm_compaction = options_.compact_threshold > 0 &&
                      delta_->delta_triples() >= options_.compact_threshold;
 
-    batches_.Increment();
-    triples_added_.Add(result.stats.added);
-    triples_deleted_.Add(result.stats.deleted);
-    noop_adds_.Add(result.stats.noop_adds);
-    noop_deletes_.Add(result.stats.noop_deletes);
-    new_terms_.Add(result.stats.new_terms);
-
     std::lock_guard<std::mutex> counters_lock(counters_mu_);
-    gauges_.epoch = epoch_;
-    gauges_.delta_triples = delta_->delta_triples();
-    gauges_.touched_vertices = delta_->touched_vertices();
-    gauges_.delta_bytes = delta_->approx_bytes();
-    gauges_.wal_bytes = log_->size_bytes();
-    gauges_.last_batch_ms = timer.ElapsedMillis();
+    CountBatch(result.stats, &counters_);
+    counters_.epoch = epoch_;
+    counters_.delta_triples = delta_->delta_triples();
+    counters_.touched_vertices = delta_->touched_vertices();
+    counters_.delta_bytes = delta_->approx_bytes();
+    counters_.wal_bytes = log_->size_bytes();
+    counters_.last_batch_ms = timer.ElapsedMillis();
   }
   if (arm_compaction) {
     if (options_.background_compaction) {
@@ -274,8 +275,7 @@ StatusOr<LiveKb::BatchResult> LiveKb::Apply(
       }
       bg_cv_.notify_one();
     } else {
-      Status st = Compact();
-      if (!st.ok()) failed_compactions_.Increment();
+      if (!Compact().ok()) CountFailedCompaction();
     }
   }
   return result;
@@ -288,8 +288,7 @@ void LiveKb::CompactionLoop() {
     if (stop_) return;
     compaction_due_ = false;
     lock.unlock();
-    Status st = Compact();
-    if (!st.ok()) failed_compactions_.Increment();
+    if (!Compact().ok()) CountFailedCompaction();
     lock.lock();
   }
 }
@@ -364,35 +363,24 @@ Status LiveKb::CompactLocked() {
     ::unlink(old_snapshot.c_str());
   }
 
-  compactions_.Increment();
   std::lock_guard<std::mutex> counters_lock(counters_mu_);
-  gauges_.delta_triples = 0;
-  gauges_.touched_vertices = 0;
-  gauges_.delta_bytes = 0;
-  gauges_.wal_bytes = 0;
-  gauges_.last_compaction_ms = timer.ElapsedMillis();
+  ++counters_.compactions;
+  counters_.delta_triples = 0;
+  counters_.touched_vertices = 0;
+  counters_.delta_bytes = 0;
+  counters_.wal_bytes = 0;
+  counters_.last_compaction_ms = timer.ElapsedMillis();
   return Status::Ok();
 }
 
-LiveKb::IngestCounters LiveKb::counters() const {
-  IngestCounters c;
-  c.batches = batches_.Value();
-  c.triples_added = triples_added_.Value();
-  c.triples_deleted = triples_deleted_.Value();
-  c.noop_adds = noop_adds_.Value();
-  c.noop_deletes = noop_deletes_.Value();
-  c.new_terms = new_terms_.Value();
-  c.compactions = compactions_.Value();
-  c.failed_compactions = failed_compactions_.Value();
+void LiveKb::CountFailedCompaction() {
   std::lock_guard<std::mutex> lock(counters_mu_);
-  c.epoch = gauges_.epoch;
-  c.delta_triples = gauges_.delta_triples;
-  c.touched_vertices = gauges_.touched_vertices;
-  c.delta_bytes = gauges_.delta_bytes;
-  c.wal_bytes = gauges_.wal_bytes;
-  c.last_batch_ms = gauges_.last_batch_ms;
-  c.last_compaction_ms = gauges_.last_compaction_ms;
-  return c;
+  ++counters_.failed_compactions;
+}
+
+LiveKb::IngestCounters LiveKb::counters() const {
+  std::lock_guard<std::mutex> lock(counters_mu_);
+  return counters_;
 }
 
 }  // namespace live

@@ -12,7 +12,6 @@
 
 #include "common/lru_cache.h"
 #include "common/status.h"
-#include "common/striped_counter.h"
 #include "nlp/lexicon.h"
 #include "qa/ganswer.h"
 #include "rdf/ntriples.h"
@@ -104,7 +103,7 @@ class LiveKb {
     /// entries are unreachable via the key's identity prefix and age out
     /// by LRU). 0 disables caching.
     size_t question_cache_capacity = 1024;
-    /// 0 = derive from the CPU topology (common/lru_cache.h).
+    /// 0 = the cache's default of 8 (common/lru_cache.h).
     size_t question_cache_shards = 0;
     /// Accumulated delta size (adds + deletes) that arms compaction.
     /// 0 = compact only when Compact() is called explicitly.
@@ -192,6 +191,7 @@ class LiveKb {
   /// Builds and atomically publishes the view of the current delta state.
   void PublishViewLocked();
   void CompactionLoop();
+  void CountFailedCompaction();
 
   static uint64_t MixIdentity(uint64_t fingerprint, uint64_t epoch);
 
@@ -219,31 +219,11 @@ class LiveKb {
   mutable std::mutex view_mu_;
   std::shared_ptr<const KbView> current_;
 
-  // Monotone ingest events: striped per core, exact on read. The write
-  // path is single-writer under writer_mu_, but counters() runs on every
-  // /stats request — striping keeps those reads from bouncing the
-  // writer's cache lines.
-  StripedCounter batches_;
-  StripedCounter triples_added_;
-  StripedCounter triples_deleted_;
-  StripedCounter noop_adds_;
-  StripedCounter noop_deletes_;
-  StripedCounter new_terms_;
-  StripedCounter compactions_;
-  StripedCounter failed_compactions_;
-  /// Gauges — current values, not event counts — stay mutex-guarded so a
-  /// counters() snapshot sees one consistent post-batch state.
-  struct Gauges {
-    uint64_t epoch = 0;
-    uint64_t delta_triples = 0;
-    uint64_t touched_vertices = 0;
-    uint64_t delta_bytes = 0;
-    uint64_t wal_bytes = 0;
-    double last_batch_ms = 0;
-    double last_compaction_ms = 0;
-  };
+  /// Guards counters_: the single writer updates it after each batch or
+  /// compaction, so a counters() snapshot sees one consistent post-batch
+  /// state.
   mutable std::mutex counters_mu_;
-  Gauges gauges_;
+  IngestCounters counters_;
 
   std::thread compactor_;
   std::mutex bg_mu_;

@@ -73,6 +73,30 @@ TEST(SearchTest, GallopingFromAdvancingIterator) {
     ASSERT_EQ(expected_it, it);
     if (it != keys.end()) ++it, ++expected_it;
   }
+
+  // The same advance over (key, payload) records, probed with a bare key
+  // under the first-field comparator SparqlEngine's merge join uses.
+  std::vector<std::pair<uint32_t, uint32_t>> recs(4096);
+  next = 0;
+  for (auto& r : recs) {
+    next += rng() % 4;  // duplicate keys and short gaps
+    r = {next, static_cast<uint32_t>(rng())};
+  }
+  auto first_less = [](const std::pair<uint32_t, uint32_t>& r, uint32_t k) {
+    return r.first < k;
+  };
+  const auto* cur = recs.data();
+  const auto* end = recs.data() + recs.size();
+  size_t expected = 0;
+  while (cur != end) {
+    uint32_t target =
+        recs[std::min(recs.size() - 1, expected + rng() % 32)].first + 1;
+    cur = GallopingLowerBound(cur, end, target, first_less);
+    while (expected < recs.size() && recs[expected].first < target) {
+      ++expected;
+    }
+    ASSERT_EQ(expected, static_cast<size_t>(cur - recs.data()));
+  }
 }
 
 TEST(SearchTest, CustomComparatorOnPairs) {

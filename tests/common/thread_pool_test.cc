@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
@@ -8,6 +9,8 @@
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#include "common/topology.h"
 
 namespace ganswer {
 namespace {
@@ -17,7 +20,28 @@ TEST(ThreadPoolTest, ResolveThreads) {
   EXPECT_EQ(ThreadPool::ResolveThreads(7), 7);
   EXPECT_EQ(ThreadPool::ResolveThreads(-3), 1);
   EXPECT_GE(ThreadPool::ResolveThreads(0), 1)
-      << "0 resolves to hardware_concurrency, at least 1";
+      << "0 resolves to the available CPUs, at least 1";
+}
+
+// threads = 0 follows the affinity mask (a container cpuset), not the
+// machine's core count: narrowing the mask narrows the pool.
+TEST(ThreadPoolTest, ZeroThreadsResolvesToAffinityCpus) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  EXPECT_GE(AvailableCpus(), 1);
+  EXPECT_EQ(AvailableCpus(), CPU_COUNT(&allowed));
+  EXPECT_EQ(ThreadPool::ResolveThreads(0), AvailableCpus());
+
+  int first = 0;
+  while (!CPU_ISSET(first, &allowed)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(AvailableCpus(), 1);
+  EXPECT_EQ(ThreadPool::ResolveThreads(0), 1);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(allowed), &allowed), 0);
 }
 
 TEST(ThreadPoolTest, SubmitReturnsValueThroughFuture) {

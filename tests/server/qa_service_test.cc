@@ -13,6 +13,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -595,6 +596,26 @@ TEST(QaServiceTest, StartFailsCleanlyOnMissingSnapshot) {
   Status st = service.Start();
   EXPECT_FALSE(st.ok());
   service.Shutdown();  // must be safe after a failed start
+}
+
+// A queue bound below 1 would shed every request with 503 queue_full, so
+// Start() refuses it up front — before the snapshot or live store opens.
+TEST(QaServiceTest, StartRejectsMaxQueueBelowOne) {
+  for (int max_queue : {0, -1, std::numeric_limits<int>::min()}) {
+    QaService::Options options = TestOptions();
+    options.max_queue = max_queue;
+    QaService service(options);
+    Status st = service.Start();
+    EXPECT_TRUE(st.IsInvalidArgument()) << max_queue << ": " << st.ToString();
+    EXPECT_EQ(service.port(), 0) << "no listener after a rejected start";
+    service.Shutdown();
+
+    options.snapshot_path = "does_not_exist.snap";
+    QaService unloaded(options);
+    st = unloaded.Start();
+    EXPECT_TRUE(st.IsInvalidArgument())
+        << "checked before the snapshot loads: " << st.ToString();
+  }
 }
 
 }  // namespace
