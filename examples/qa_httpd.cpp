@@ -20,6 +20,9 @@
 //
 //   curl -d '<Berlin> <population> "3700000" .' localhost:8080/update
 //
+// Without --live the same store opens read-only: it stays at epoch 0 and
+// POST /update is not routed (404).
+//
 // Shutdown is graceful: the listen socket closes first, in-flight requests
 // drain, responses flush, then the process exits 0.
 

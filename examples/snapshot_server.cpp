@@ -1,23 +1,18 @@
 // Build-once, serve-many: the snapshot workflow for production startups.
 //
 //   ./build/examples/snapshot_server build kb.snap   # offline, pay once
-//   ./build/examples/snapshot_server serve kb.snap   # online over HTTP
+//   ./build/examples/qa_httpd --snapshot kb.snap     # online over HTTP
 //   ./build/examples/snapshot_server demo            # both, self-contained
 //
 // `build` runs the full offline phase on the generated demo KB — mining
 // the paraphrase dictionary (Algorithm 1) and constructing the entity and
 // signature indexes — then writes everything into one versioned,
-// checksummed snapshot file. `serve` hands that file to the canonical
-// serving path, server::QaService (the same event-loop + worker-pool tier
-// behind qa_httpd), and answers POST /answer over HTTP until SIGINT.
-// `demo` runs build, boots the service on an ephemeral port, and drives it
-// over a real loopback socket with canned questions, reporting the
-// rebuild-vs-load timings and the cache counters.
-
-#include <unistd.h>
+// checksummed snapshot file, which qa_httpd serves. `demo` runs build,
+// boots server::QaService (the serving tier behind qa_httpd) on an
+// ephemeral port, and drives it over a real loopback socket with canned
+// questions, reporting the rebuild-vs-load timings and the cache counters.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -94,13 +89,14 @@ int BuildSnapshot(const std::string& path, double* rebuild_ms) {
 }
 
 // The online phase, on the one canonical serving path: QaService loads the
-// snapshot (bulk reads, zero rebuilds, cache on) and serves HTTP.
-int StartService(const std::string& path, int port,
+// snapshot (bulk reads, zero rebuilds, cache on) and serves HTTP on an
+// ephemeral port.
+int StartService(const std::string& path,
                  std::unique_ptr<server::QaService>* service,
                  double* load_ms) {
   server::QaService::Options options;
   options.snapshot_path = path;
-  options.port = port;
+  options.port = 0;
   options.threads = 2;
   options.question_cache_capacity = 1024;
   WallTimer timer;
@@ -109,9 +105,9 @@ int StartService(const std::string& path, int port,
     std::fprintf(stderr, "startup failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  if (load_ms != nullptr) *load_ms = timer.ElapsedMillis();
+  *load_ms = timer.ElapsedMillis();
   std::printf("serving %zu triples on 127.0.0.1:%d\n",
-              (*service)->snapshot().graph->NumTriples(),
+              (*service)->kb()->view()->graph().NumTriples(),
               (*service)->port());
   return 0;
 }
@@ -123,8 +119,7 @@ int RunDemo() {
 
   std::unique_ptr<server::QaService> service;
   double startup_ms = 0;
-  if (int rc = StartService(path, /*port=*/0, &service, &startup_ms);
-      rc != 0) {
+  if (int rc = StartService(path, &service, &startup_ms); rc != 0) {
     return rc;
   }
   std::printf("offline rebuild was %.1f ms -> served after %.1f ms of "
@@ -151,7 +146,7 @@ int RunDemo() {
     std::printf("Q: %s\n  HTTP %d %s\n", q, r->status, r->body.c_str());
   }
 
-  auto stats = service->system()->cache_stats();
+  auto stats = service->kb()->view()->qa().cache_stats();
   std::printf("\ncache: %llu hits, %llu misses, %zu entries\n",
               static_cast<unsigned long long>(stats.hits),
               static_cast<unsigned long long>(stats.misses), stats.entries);
@@ -167,22 +162,12 @@ int main(int argc, char** argv) {
   if (argc >= 3 && std::strcmp(argv[1], "build") == 0) {
     return BuildSnapshot(argv[2], nullptr);
   }
-  if (argc >= 3 && std::strcmp(argv[1], "serve") == 0) {
-    std::unique_ptr<server::QaService> service;
-    int port = argc >= 4 ? std::atoi(argv[3]) : 8080;
-    if (int rc = StartService(argv[2], port, &service, nullptr); rc != 0) {
-      return rc;
-    }
-    // Serve until the process is killed; qa_httpd is the flagship binary
-    // with the full signal-driven graceful shutdown.
-    std::printf("POST /answer to port %d; Ctrl-C to stop\n",
-                service->port());
-    for (;;) pause();
-  }
   if (argc == 1 || std::strcmp(argv[1], "demo") == 0) {
     return RunDemo();
   }
   std::fprintf(stderr,
-               "usage: %s build FILE | serve FILE [PORT] | demo\n", argv[0]);
+               "usage: %s build FILE | demo\n"
+               "serve a built snapshot with: qa_httpd --snapshot FILE\n",
+               argv[0]);
   return 2;
 }

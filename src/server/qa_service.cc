@@ -18,6 +18,9 @@ namespace server {
 
 namespace {
 
+/// How many lowered top-k SPARQL queries /answer includes.
+constexpr size_t kSparqlTopK = 3;
+
 const char* FailureName(qa::GAnswer::FailureStage stage) {
   switch (stage) {
     case qa::GAnswer::FailureStage::kNone:
@@ -84,80 +87,39 @@ Status QaService::Start() {
     return Status::InvalidArgument("max_queue must be at least 1, got " +
                                    std::to_string(options_.max_queue));
   }
-  if (!options_.live_dir.empty()) return StartLive();
   WallTimer timer;
-  auto snapshot = store::ReadSnapshotFile(
-      options_.snapshot_path, &lexicon_,
-      options_.mmap_load ? store::SnapshotLoadMode::kMmap
-                         : store::SnapshotLoadMode::kRead);
-  if (!snapshot.ok()) return snapshot.status();
-  snapshot_ = std::move(snapshot).value();
-  double load_ms = timer.ElapsedMillis();
-
-  qa::GAnswer::Options qa_options;
-  qa_options.entity_index = snapshot_.entity_index.get();
-  qa_options.matching.signatures = snapshot_.signatures.get();
-  qa_options.graph_stats = snapshot_.stats.get();
-  qa_options.snapshot_identity = snapshot_.fingerprint;
-  qa_options.question_cache_capacity = options_.question_cache_capacity;
+  store::live::LiveKb::Options kb_options;
+  kb_options.dir = options_.live_dir;  // empty: the read-only store
+  kb_options.base_snapshot = options_.snapshot_path;
+  kb_options.lexicon = &lexicon_;
+  kb_options.question_cache_capacity = options_.question_cache_capacity;
+  kb_options.compact_threshold = options_.live_compact_threshold;
+  kb_options.max_batch_ops = options_.update_max_triples;
+  kb_options.mmap_base = options_.mmap_load;
   // Per-question matching stays serial: parallelism comes from answering
   // many requests at once on the worker pool, not from splitting one.
-  qa_options.matching.exec.threads = 1;
-  system_ = std::make_unique<qa::GAnswer>(snapshot_.graph.get(), &lexicon_,
-                                          snapshot_.dictionary.get(),
-                                          qa_options);
-  rdf::SparqlEngine::Options engine_options;
-  engine_options.stats = snapshot_.stats.get();
-  engine_ = std::make_unique<rdf::SparqlEngine>(*snapshot_.graph,
-                                                engine_options);
-  GANSWER_RETURN_NOT_OK(StartHttp());
-  GANSWER_LOG(Info) << "qa service up: " << snapshot_.graph->NumTriples()
-                    << " triples, snapshot " << options_.snapshot_path
-                    << (options_.mmap_load ? " mapped" : " read")
-                    << " in " << load_ms << " ms, "
-                    << pool_->size() << " worker(s), max queue "
-                    << options_.max_queue;
-  return Status::Ok();
-}
-
-Status QaService::StartLive() {
-  WallTimer timer;
-  store::live::LiveKb::Options live_options;
-  live_options.dir = options_.live_dir;
-  live_options.base_snapshot = options_.snapshot_path;
-  live_options.lexicon = &lexicon_;
-  live_options.question_cache_capacity = options_.question_cache_capacity;
-  live_options.compact_threshold = options_.live_compact_threshold;
-  live_options.max_batch_ops = options_.update_max_triples;
-  live_options.mmap_base = options_.mmap_load;
-  // Per-question matching stays serial, as in frozen mode.
-  live_options.qa.matching.exec.threads = 1;
-  auto live = store::live::LiveKb::Open(std::move(live_options));
-  if (!live.ok()) return live.status();
-  live_ = std::move(live).value();
+  kb_options.qa.matching.exec.threads = 1;
+  auto kb = store::live::LiveKb::Open(std::move(kb_options));
+  if (!kb.ok()) return kb.status();
+  kb_ = std::move(kb).value();
   double load_ms = timer.ElapsedMillis();
-  GANSWER_RETURN_NOT_OK(StartHttp());
-  std::shared_ptr<const store::live::KbView> view = live_->view();
-  GANSWER_LOG(Info) << "qa service up (live): " << view->graph().NumTriples()
-                    << " triples, epoch " << view->epoch() << ", store "
-                    << options_.live_dir << " in " << load_ms << " ms, "
-                    << pool_->size() << " worker(s), max queue "
-                    << options_.max_queue;
-  return Status::Ok();
-}
 
-Status QaService::StartHttp() {
   pool_ = std::make_unique<ThreadPool>(options_.threads);
   HttpServer::Options http_options;
   http_options.bind_address = options_.bind_address;
   http_options.port = options_.port;
   http_options.idle_timeout_ms = options_.idle_timeout_ms;
-  http_options.drain_timeout_ms = options_.drain_timeout_ms;
   http_ = std::make_unique<HttpServer>(http_options);
   RegisterRoutes();
   GANSWER_RETURN_NOT_OK(http_->Start());
   start_ms_ = SteadyNowMs();
   started_ = true;
+  std::shared_ptr<const store::live::KbView> view = kb_->view();
+  GANSWER_LOG(Info) << "qa service up: " << view->graph().NumTriples()
+                    << " triples at epoch " << view->epoch() << ", "
+                    << (options_.mmap_load ? "mapped" : "read") << " in "
+                    << load_ms << " ms, " << pool_->size()
+                    << " worker(s), max queue " << options_.max_queue;
   return Status::Ok();
 }
 
@@ -185,7 +147,7 @@ void QaService::RegisterRoutes() {
                       const HttpServer::ResponseWriter& writer) {
                  HandleSparql(request, writer);
                });
-  if (live_ != nullptr) {
+  if (!kb_->read_only()) {
     http_->Route("POST", "/update",
                  [this](const HttpRequest& request,
                         const HttpServer::ResponseWriter& writer) {
@@ -329,15 +291,11 @@ void QaService::HandleAnswer(const HttpRequest& request,
     return;
   }
   std::string q = std::move(question).value();
-  // Live mode pins the current epoch's view here, at arrival: the fast
-  // path, the queued worker work and the serialization all use this one
-  // view, so a commit or compaction mid-request never changes what the
-  // request observes (and the view's refcount keeps its epoch alive).
-  std::shared_ptr<const store::live::KbView> view;
-  if (live_ != nullptr) view = live_->view();
-  const qa::GAnswer& system = view != nullptr ? view->qa() : *system_;
-  const rdf::RdfGraph& graph =
-      view != nullptr ? view->graph() : *snapshot_.graph;
+  // The current epoch's view is pinned here, at arrival: the fast path,
+  // the queued worker work and the serialization all use this one view, so
+  // a commit or compaction mid-request never changes what the request
+  // observes (and the view's refcount keeps its epoch alive).
+  std::shared_ptr<const store::live::KbView> view = kb_->view();
   // Cached fast path: a hit is serialized and answered right here on the
   // event-loop thread — the hot Zipf head never waits behind cold-tail
   // matcher work in the admission queue. Serializing a cached answer is
@@ -345,8 +303,9 @@ void QaService::HandleAnswer(const HttpRequest& request,
   // run, so it cannot starve the loop.
   if (options_.cached_fast_path &&
       request.Header("X-No-Fast-Path") == nullptr) {
-    if (auto hit = system.ProbeCache(q)) {
-      std::string body = AnswerToJson(q, *hit, /*cache_hit=*/true, graph);
+    if (auto hit = view->qa().ProbeCache(q)) {
+      std::string body =
+          AnswerToJson(q, *hit, /*cache_hit=*/true, view->graph());
       fast_path_hits_.fetch_add(1, std::memory_order_relaxed);
       Record(&answer_stats_,
              static_cast<double>(SteadyNowUs() - admit_us) / 1000.0, 200);
@@ -356,16 +315,13 @@ void QaService::HandleAnswer(const HttpRequest& request,
   }
   Admit(writer, &answer_stats_, admit_us, DeadlineFor(request),
         [this, q = std::move(q), view = std::move(view)]() -> HttpResponse {
-          const qa::GAnswer& system =
-              view != nullptr ? view->qa() : *system_;
-          const rdf::RdfGraph& graph =
-              view != nullptr ? view->graph() : *snapshot_.graph;
-          auto response = system.Ask(q);
+          auto response = view->qa().Ask(q);
           if (!response.ok()) {
             return ErrorResponse(422, response.status().ToString());
           }
           return HttpResponse::Json(
-              200, AnswerToJson(q, *response, response->cache_hit, graph));
+              200, AnswerToJson(q, *response, response->cache_hit,
+                                view->graph()));
         });
 }
 
@@ -379,22 +335,15 @@ void QaService::HandleSparql(const HttpRequest& request,
     writer.Send(ErrorResponse(400, query.status().ToString()));
     return;
   }
-  std::string text = std::move(query).value();
-  std::shared_ptr<const store::live::KbView> view;
-  if (live_ != nullptr) view = live_->view();
   Admit(writer, &sparql_stats_, admit_us, DeadlineFor(request),
-        [this, text = std::move(text),
-         view = std::move(view)]() -> HttpResponse {
-          const rdf::SparqlEngine& engine =
-              view != nullptr ? view->sparql() : *engine_;
-          auto result = engine.ExecuteText(text);
+        [this, text = std::move(query).value(),
+         view = kb_->view()]() -> HttpResponse {
+          auto result = view->sparql().ExecuteText(text);
           if (!result.ok()) {
             return ErrorResponse(422, result.status().ToString());
           }
           return HttpResponse::Json(
-              200, SparqlResultToJson(
-                       *result,
-                       view != nullptr ? view->graph() : *snapshot_.graph));
+              200, SparqlResultToJson(*result, view->graph()));
         });
 }
 
@@ -415,7 +364,7 @@ void QaService::HandleUpdate(const HttpRequest& request,
   // commit work never runs on the loop thread.
   Admit(writer, &update_stats_, admit_us, DeadlineFor(request),
         [this, text = std::move(update).value()]() -> HttpResponse {
-          auto result = live_->ApplyText(text);
+          auto result = kb_->ApplyText(text);
           if (!result.ok()) {
             // Rejected batches (over the admission bound, or N-Triples the
             // parser refuses) are the client's fault; anything else is an
@@ -444,29 +393,21 @@ void QaService::HandleUpdate(const HttpRequest& request,
 }
 
 void QaService::HandleHealthz(const HttpServer::ResponseWriter& writer) {
-  std::shared_ptr<const store::live::KbView> view;
-  if (live_ != nullptr) view = live_->view();
+  std::shared_ptr<const store::live::KbView> view = kb_->view();
   JsonWriter w;
   w.BeginObject()
       .Field("status", "ok")
-      .Field("triples", view != nullptr ? view->graph().NumTriples()
-                                        : snapshot_.graph->NumTriples())
-      .Field("snapshot_fingerprint",
-             FingerprintHex(view != nullptr ? view->base().fingerprint
-                                            : snapshot_.fingerprint));
-  if (view != nullptr) {
-    w.Field("epoch", static_cast<int64_t>(view->epoch()));
-  }
-  w.Field("uptime_ms", static_cast<int64_t>(SteadyNowMs() - start_ms_))
+      .Field("triples", view->graph().NumTriples())
+      .Field("snapshot_fingerprint", FingerprintHex(view->base().fingerprint))
+      .Field("epoch", static_cast<int64_t>(view->epoch()))
+      .Field("uptime_ms", static_cast<int64_t>(SteadyNowMs() - start_ms_))
       .EndObject();
   writer.Send(HttpResponse::Json(200, w.Take()));
 }
 
 void QaService::HandleStats(const HttpServer::ResponseWriter& writer) {
-  std::shared_ptr<const store::live::KbView> view;
-  if (live_ != nullptr) view = live_->view();
-  qa::GAnswer::CacheStats cache =
-      view != nullptr ? view->qa().cache_stats() : system_->cache_stats();
+  std::shared_ptr<const store::live::KbView> view = kb_->view();
+  qa::GAnswer::CacheStats cache = view->qa().cache_stats();
   EndpointStats answer = answer_stats();
   EndpointStats sparql = sparql_stats();
   LatencyHistogram answer_hist = answer_latency();
@@ -507,7 +448,7 @@ void QaService::HandleStats(const HttpServer::ResponseWriter& writer) {
       .Field("connections_accepted", http_->connections_accepted())
       .Field("requests_in_flight", http_->requests_in_flight())
       .EndObject();
-  const store::Snapshot& base = view != nullptr ? view->base() : snapshot_;
+  const store::Snapshot& base = view->base();
   w.Key("storage").BeginObject();
   w.Field("mode", base.mapping ? "mmap" : "read")
       .Field("file_bytes",
@@ -515,11 +456,10 @@ void QaService::HandleStats(const HttpServer::ResponseWriter& writer) {
       .Field("mapped_bytes", static_cast<int64_t>(base.column_mapped_bytes()))
       .Field("heap_bytes", static_cast<int64_t>(base.column_heap_bytes()))
       .EndObject();
-  // Live mode reports the base snapshot's statistics (the ones steering
-  // candidate build and plan order) — the live triple count is in the
-  // ingest section and /healthz.
-  const rdf::GraphStats& graph_stats =
-      view != nullptr ? *base.stats : engine_->stats();
+  // The base snapshot's statistics (the ones steering candidate build and
+  // plan order); the live triple count is in /healthz, the delta size in
+  // the ingest section.
+  const rdf::GraphStats& graph_stats = *base.stats;
   w.Key("graph").BeginObject();
   w.Field("triples", static_cast<int64_t>(graph_stats.num_triples()))
       .Field("vertices", static_cast<int64_t>(graph_stats.num_vertices()))
@@ -528,41 +468,40 @@ void QaService::HandleStats(const HttpServer::ResponseWriter& writer) {
       .Field("avg_out_fanout", graph_stats.AvgOutFanout())
       .Field("avg_in_fanout", graph_stats.AvgInFanout())
       .EndObject();
-  if (engine_ != nullptr) {
-    rdf::SparqlEngine::PlannerCounters planner = engine_->planner_counters();
-    w.Key("planner").BeginObject();
-    w.Field("planned_queries", static_cast<int64_t>(planner.planned_queries))
-        .Field("naive_queries", static_cast<int64_t>(planner.naive_queries))
-        .Field("range_lookups", static_cast<int64_t>(planner.range_lookups))
-        .Field("full_scans", static_cast<int64_t>(planner.full_scans))
-        .Field("merge_joins", static_cast<int64_t>(planner.merge_joins))
-        .Field("intermediate_bindings",
-               static_cast<int64_t>(planner.intermediate_bindings))
-        .EndObject();
+  // The pinned epoch's planner counters. The loop thread never builds the
+  // lazy engine: until the epoch's first /sparql they read zero.
+  rdf::SparqlEngine::PlannerCounters planner;
+  if (const rdf::SparqlEngine* engine = view->sparql_if_built()) {
+    planner = engine->planner_counters();
   }
-  if (live_ != nullptr) {
-    store::live::LiveKb::IngestCounters ingest = live_->counters();
-    w.Key("ingest").BeginObject();
-    w.Field("epoch", static_cast<int64_t>(ingest.epoch))
-        .Field("batches", static_cast<int64_t>(ingest.batches))
-        .Field("triples_added", static_cast<int64_t>(ingest.triples_added))
-        .Field("triples_deleted",
-               static_cast<int64_t>(ingest.triples_deleted))
-        .Field("noop_adds", static_cast<int64_t>(ingest.noop_adds))
-        .Field("noop_deletes", static_cast<int64_t>(ingest.noop_deletes))
-        .Field("new_terms", static_cast<int64_t>(ingest.new_terms))
-        .Field("delta_triples", static_cast<int64_t>(ingest.delta_triples))
-        .Field("touched_vertices",
-               static_cast<int64_t>(ingest.touched_vertices))
-        .Field("delta_bytes", static_cast<int64_t>(ingest.delta_bytes))
-        .Field("wal_bytes", static_cast<int64_t>(ingest.wal_bytes))
-        .Field("compactions", static_cast<int64_t>(ingest.compactions))
-        .Field("failed_compactions",
-               static_cast<int64_t>(ingest.failed_compactions))
-        .Field("last_batch_ms", ingest.last_batch_ms)
-        .Field("last_compaction_ms", ingest.last_compaction_ms)
-        .EndObject();
-  }
+  w.Key("planner").BeginObject();
+  w.Field("planned_queries", static_cast<int64_t>(planner.planned_queries))
+      .Field("naive_queries", static_cast<int64_t>(planner.naive_queries))
+      .Field("range_lookups", static_cast<int64_t>(planner.range_lookups))
+      .Field("full_scans", static_cast<int64_t>(planner.full_scans))
+      .Field("merge_joins", static_cast<int64_t>(planner.merge_joins))
+      .Field("intermediate_bindings",
+             static_cast<int64_t>(planner.intermediate_bindings))
+      .EndObject();
+  store::live::LiveKb::IngestCounters ingest = kb_->counters();
+  w.Key("ingest").BeginObject();
+  w.Field("epoch", static_cast<int64_t>(ingest.epoch))
+      .Field("batches", static_cast<int64_t>(ingest.batches))
+      .Field("triples_added", static_cast<int64_t>(ingest.triples_added))
+      .Field("triples_deleted", static_cast<int64_t>(ingest.triples_deleted))
+      .Field("noop_adds", static_cast<int64_t>(ingest.noop_adds))
+      .Field("noop_deletes", static_cast<int64_t>(ingest.noop_deletes))
+      .Field("new_terms", static_cast<int64_t>(ingest.new_terms))
+      .Field("delta_triples", static_cast<int64_t>(ingest.delta_triples))
+      .Field("touched_vertices", static_cast<int64_t>(ingest.touched_vertices))
+      .Field("delta_bytes", static_cast<int64_t>(ingest.delta_bytes))
+      .Field("wal_bytes", static_cast<int64_t>(ingest.wal_bytes))
+      .Field("compactions", static_cast<int64_t>(ingest.compactions))
+      .Field("failed_compactions",
+             static_cast<int64_t>(ingest.failed_compactions))
+      .Field("last_batch_ms", ingest.last_batch_ms)
+      .Field("last_compaction_ms", ingest.last_compaction_ms)
+      .EndObject();
   w.Key("endpoints").BeginObject();
   auto emit_endpoint = [&w](const char* name, const EndpointStats& stats,
                             const LatencyHistogram& hist) {
@@ -582,14 +521,12 @@ void QaService::HandleStats(const HttpServer::ResponseWriter& writer) {
   };
   emit_endpoint("/answer", answer, answer_hist);
   emit_endpoint("/sparql", sparql, sparql_hist);
-  if (live_ != nullptr) {
-    EndpointStats update = update_stats();
-    LatencyHistogram update_hist = [this] {
-      std::lock_guard<std::mutex> lock(update_stats_.mu);
-      return update_stats_.latency;
-    }();
-    emit_endpoint("/update", update, update_hist);
-  }
+  EndpointStats update = update_stats();
+  LatencyHistogram update_hist = [this] {
+    std::lock_guard<std::mutex> lock(update_stats_.mu);
+    return update_stats_.latency;
+  }();
+  emit_endpoint("/update", update, update_hist);
   w.EndObject();
   w.EndObject();
   writer.Send(HttpResponse::Json(200, w.Take()));
@@ -620,7 +557,7 @@ std::string QaService::AnswerToJson(std::string_view question,
   if (!response.matches.empty()) {
     for (const rdf::SparqlQuery& query : qa::SparqlOutput::TopKQueries(
              response.understanding.sqg, response.matches, graph,
-             options_.sparql_top_k)) {
+             kSparqlTopK)) {
       w.String(query.ToString());
     }
   }

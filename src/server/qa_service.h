@@ -16,7 +16,6 @@
 #include "rdf/sparql_engine.h"
 #include "server/http_server.h"
 #include "store/live/live_kb.h"
-#include "store/snapshot.h"
 
 namespace ganswer {
 namespace server {
@@ -24,11 +23,19 @@ namespace server {
 /// \brief The online serving tier: snapshot-backed question answering over
 /// HTTP with bounded admission.
 ///
-/// Startup loads one `store/snapshot` file (zero rebuilds — the PR 2
-/// cold-start story) and wires the prebuilt indexes into a `qa::GAnswer`
-/// with the question cache on, plus a raw `rdf::SparqlEngine` over the same
-/// graph. Requests arrive on the event-loop thread and pass three
-/// admission stages, cheapest first:
+/// One serving core: the service holds its knowledge base as one
+/// store::live::LiveKb. Without Options::live_dir that store is read-only —
+/// the snapshot file loaded once (zero rebuilds) and served as a single
+/// view at epoch 0 for the process lifetime. With live_dir it is the
+/// writable store, and POST /update commits new epochs. Either way every
+/// request pins the current KbView at arrival and uses that view — its
+/// `qa::GAnswer` with the question cache on, its graph and its lazily built
+/// `rdf::SparqlEngine` — for its whole lifetime, so a commit or compaction
+/// mid-request never changes what the request observes. The only
+/// difference between the two is whether POST /update is routed.
+///
+/// Requests arrive on the event-loop thread and pass three admission
+/// stages, cheapest first:
 ///
 ///   1. **Cached fast path** (on by default): the question cache is probed
 ///      on the event-loop thread, and a hit is serialized and answered
@@ -58,23 +65,17 @@ namespace server {
 ///                     queries, stage timings, cache_hit
 ///   POST /sparql   {"query": "..."}     (or a text/plain body)
 ///                  -> variable bindings from the SparqlEngine
-///   POST /update   N-Triples body, `-`-prefixed lines delete (live mode
-///                  only) -> the committed epoch and batch counters
-///   GET  /healthz  liveness + snapshot identity (+ epoch in live mode)
+///   POST /update   N-Triples body, `-`-prefixed lines delete (writable
+///                  store only; 404 otherwise) -> the committed epoch and
+///                  batch counters, through the same bounded admission
+///                  queue as the query endpoints
+///   GET  /healthz  liveness, snapshot identity, epoch
 ///   GET  /stats    question-cache hit/miss/eviction counters, admission
 ///                  queue depth, shed counters split queue_full vs
 ///                  deadline_expired, fast-path hits, queue-wait
-///                  percentiles, per-endpoint request/error counters and
-///                  latency percentiles (p50/p95/p99/p99.9); ingest
-///                  counters in live mode
-///
-/// Live mode (Options::live_dir non-empty): the service serves a
-/// store::live::LiveKb instead of a frozen snapshot. Every request pins the
-/// current epoch's KbView at arrival (one wait-free atomic load) and uses
-/// that view — its QA system, graph and SPARQL engine — for its whole
-/// lifetime, so a commit or compaction mid-request never changes what the
-/// request observes. POST /update commits batches through the same bounded
-/// admission queue as the query endpoints.
+///                  percentiles, planner and ingest counters, per-endpoint
+///                  request/error counters and latency percentiles
+///                  (p50/p95/p99/p99.9)
 ///
 /// Shutdown() drains: the listen socket closes first, dispatched requests
 /// run to completion and their responses flush, then the loop stops — the
@@ -83,16 +84,16 @@ class QaService {
  public:
   struct Options {
     /// Snapshot container written by store::WriteSnapshotFile (or the
-    /// `snapshot_server build` / `qa_httpd` tooling). In live mode this is
+    /// `snapshot_server build` / `qa_httpd` tooling). With live_dir this is
     /// the bootstrap base snapshot (used only on the first open of
     /// live_dir; ignored on reopen).
     std::string snapshot_path;
-    /// Live mode: serve a live store at this directory (manifest, WAL,
-    /// compacted snapshots) instead of a frozen snapshot, and accept
-    /// streaming updates on POST /update.
+    /// Serve a writable store at this directory (manifest, WAL, compacted
+    /// snapshots) and accept streaming updates on POST /update. Empty =
+    /// the read-only store over snapshot_path.
     std::string live_dir;
     /// Accumulated delta size (adds + deletes) that arms background
-    /// compaction in live mode; 0 = never compact automatically.
+    /// compaction of the writable store; 0 = never compact automatically.
     size_t live_compact_threshold = 0;
     /// Admission bound for POST /update: max operations per batch.
     size_t update_max_triples = 100000;
@@ -123,10 +124,7 @@ class QaService {
     /// the PR 4 behavior where every request rides the worker pool.
     bool cached_fast_path = true;
     size_t question_cache_capacity = 4096;
-    /// How many lowered top-k SPARQL queries /answer includes.
-    size_t sparql_top_k = 3;
     int idle_timeout_ms = 30'000;
-    int drain_timeout_ms = 10'000;
     /// Test/bench instrumentation: runs on the worker thread before the
     /// request is answered (e.g. a latch that holds workers busy so
     /// admission overflow and shutdown drain become deterministic).
@@ -147,7 +145,8 @@ class QaService {
   QaService(const QaService&) = delete;
   QaService& operator=(const QaService&) = delete;
 
-  /// Loads the snapshot, builds the QA system and starts serving.
+  /// Opens the store (loading the snapshot), builds the epoch's QA system
+  /// and starts serving.
   Status Start();
 
   /// Graceful stop: stop accepting, drain in-flight work, flush responses,
@@ -184,12 +183,8 @@ class QaService {
   /// Time admitted requests spent queued before a worker picked them up.
   LatencyHistogram queue_wait() const;
 
-  /// Frozen mode only; null in live mode (use live()->view()->qa()).
-  qa::GAnswer* system() { return system_.get(); }
-  /// Frozen mode only; empty in live mode (use live()->view()->base()).
-  const store::Snapshot& snapshot() const { return snapshot_; }
-  /// Non-null only in live mode (Options::live_dir non-empty).
-  store::live::LiveKb* live() { return live_.get(); }
+  /// The served store; null before a successful Start().
+  store::live::LiveKb* kb() { return kb_.get(); }
   HttpServer* http_server() { return http_.get(); }
 
  private:
@@ -198,13 +193,6 @@ class QaService {
     EndpointStats stats;
     LatencyHistogram latency;
   };
-
-  /// Live-mode Start(): opens (or bootstraps) the LiveKb at live_dir
-  /// instead of loading a frozen snapshot, and registers POST /update.
-  Status StartLive();
-  /// The serving tail shared by both modes: worker pool, HTTP server,
-  /// routes, listen.
-  Status StartHttp();
 
   void RegisterRoutes();
   void HandleAnswer(const HttpRequest& request,
@@ -239,10 +227,7 @@ class QaService {
 
   Options options_;
   nlp::Lexicon lexicon_;
-  store::Snapshot snapshot_;
-  std::unique_ptr<qa::GAnswer> system_;
-  std::unique_ptr<rdf::SparqlEngine> engine_;
-  std::unique_ptr<store::live::LiveKb> live_;
+  std::unique_ptr<store::live::LiveKb> kb_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<HttpServer> http_;
 

@@ -61,6 +61,7 @@ const rdf::SparqlEngine& KbView::sparql() const {
     // either way; refreshed when compaction rewrites the base.
     options.stats = base_->stats.get();
     sparql_ = std::make_unique<rdf::SparqlEngine>(*graph_, options);
+    sparql_built_.store(sparql_.get(), std::memory_order_release);
   });
   return *sparql_;
 }
@@ -83,7 +84,7 @@ LiveKb::LiveKb(Options options) : options_(std::move(options)) {
   if (options_.question_cache_capacity > 0) {
     cache_ = std::make_shared<ShardedLruCache<qa::GAnswer::Response>>(
         ShardedLruCache<qa::GAnswer::Response>::Options{
-            options_.question_cache_capacity, options_.question_cache_shards});
+            options_.question_cache_capacity});
   }
 }
 
@@ -99,8 +100,9 @@ LiveKb::~LiveKb() {
 }
 
 StatusOr<std::unique_ptr<LiveKb>> LiveKb::Open(Options options) {
-  if (options.dir.empty()) {
-    return Status::InvalidArgument("LiveKb::Options::dir is required");
+  if (options.dir.empty() && options.base_snapshot.empty()) {
+    return Status::InvalidArgument(
+        "LiveKb::Options needs a dir or a base_snapshot");
   }
   if (options.lexicon == nullptr) {
     return Status::InvalidArgument("LiveKb::Options::lexicon is required");
@@ -110,7 +112,7 @@ StatusOr<std::unique_ptr<LiveKb>> LiveKb::Open(Options options) {
     std::lock_guard<std::mutex> lock(kb->writer_mu_);
     GANSWER_RETURN_NOT_OK(kb->OpenLocked());
   }
-  if (kb->options_.compact_threshold > 0 &&
+  if (!kb->read_only() && kb->options_.compact_threshold > 0 &&
       kb->options_.background_compaction) {
     kb->compactor_ = std::thread([kb = kb.get()] { kb->CompactionLoop(); });
   }
@@ -118,6 +120,13 @@ StatusOr<std::unique_ptr<LiveKb>> LiveKb::Open(Options options) {
 }
 
 Status LiveKb::OpenLocked() {
+  if (read_only()) {
+    // The caller's snapshot is the whole KB, at epoch 0 for good: nothing
+    // to recover, nothing on disk to create.
+    GANSWER_RETURN_NOT_OK(LoadBaseLocked(options_.base_snapshot));
+    PublishViewLocked();
+    return Status::Ok();
+  }
   GANSWER_RETURN_NOT_OK(EnsureDir(options_.dir));
   StatusOr<LiveManifest> manifest = ReadManifest(manifest_path_);
   if (!manifest.ok()) {
@@ -141,13 +150,7 @@ Status LiveKb::OpenLocked() {
     manifest = fresh;
   }
   manifest_ = std::move(manifest).value();
-
-  auto loaded = ReadSnapshotFile(
-      manifest_.base_snapshot, options_.lexicon,
-      options_.mmap_base ? SnapshotLoadMode::kMmap : SnapshotLoadMode::kRead);
-  if (!loaded.ok()) return loaded.status();
-  base_ = std::make_shared<const Snapshot>(std::move(loaded).value());
-  delta_ = std::make_unique<DeltaGraph>(base_);
+  GANSWER_RETURN_NOT_OK(LoadBaseLocked(manifest_.base_snapshot));
 
   // Recovery: re-apply every committed batch; the torn tail (if any) was
   // never acknowledged and is truncated by Replay.
@@ -179,6 +182,23 @@ Status LiveKb::OpenLocked() {
     counters_.wal_bytes = log_->size_bytes();
   }
   PublishViewLocked();
+  return Status::Ok();
+}
+
+StatusOr<std::shared_ptr<const Snapshot>> LiveKb::ReadBase(
+    const std::string& path) const {
+  auto loaded = ReadSnapshotFile(
+      path, options_.lexicon,
+      options_.mmap_base ? SnapshotLoadMode::kMmap : SnapshotLoadMode::kRead);
+  if (!loaded.ok()) return loaded.status();
+  return std::make_shared<const Snapshot>(std::move(loaded).value());
+}
+
+Status LiveKb::LoadBaseLocked(const std::string& path) {
+  auto base = ReadBase(path);
+  if (!base.ok()) return base.status();
+  base_ = std::move(base).value();
+  delta_ = std::make_unique<DeltaGraph>(base_);
   return Status::Ok();
 }
 
@@ -237,6 +257,9 @@ StatusOr<LiveKb::BatchResult> LiveKb::ApplyText(std::string_view ntriples) {
 
 StatusOr<LiveKb::BatchResult> LiveKb::Apply(
     const std::vector<rdf::UpdateOp>& ops) {
+  if (read_only()) {
+    return Status::NotSupported("read-only store: no updates");
+  }
   if (ops.empty()) return Status::InvalidArgument("empty update batch");
   if (ops.size() > options_.max_batch_ops) {
     return Status::InvalidArgument(
@@ -323,16 +346,20 @@ Status LiveKb::CompactLocked() {
   }
   GANSWER_RETURN_NOT_OK(flat.Finalize());
 
-  // New pair first, manifest swap last: a crash anywhere leaves either the
-  // old (snapshot, WAL) pair — replayed as before — or the new one.
+  // New pair first, loaded and opened; manifest swap last. A crash or a
+  // failure anywhere before the swap leaves the old (snapshot, WAL) pair
+  // both on disk and in memory, so later batches keep landing in the WAL
+  // the manifest names.
   const std::string suffix = std::to_string(epoch_);
   std::string snap_path = options_.dir + "/base-" + suffix + ".snap";
   std::string wal_path = options_.dir + "/wal-" + suffix + ".log";
-  SnapshotWriteOptions write_options;
-  write_options.compress = options_.compress_compacted;
-  GANSWER_RETURN_NOT_OK(WriteSnapshotFile(flat, *base_->dictionary, snap_path,
-                                          nullptr, write_options));
+  GANSWER_RETURN_NOT_OK(
+      WriteSnapshotFile(flat, *base_->dictionary, snap_path));
   GANSWER_RETURN_NOT_OK(CreateEmptyFile(wal_path));
+  auto base = ReadBase(snap_path);
+  if (!base.ok()) return base.status();
+  auto log = IngestLog::Open(wal_path);
+  if (!log.ok()) return log.status();
   if (crash_before_manifest_swap_for_test_) std::abort();
   LiveManifest next;
   next.base_epoch = epoch_;
@@ -343,15 +370,8 @@ Status LiveKb::CompactLocked() {
   std::string old_snapshot = manifest_.base_snapshot;
   std::string old_wal = manifest_.wal;
   manifest_ = next;
-
-  auto loaded = ReadSnapshotFile(
-      snap_path, options_.lexicon,
-      options_.mmap_base ? SnapshotLoadMode::kMmap : SnapshotLoadMode::kRead);
-  if (!loaded.ok()) return loaded.status();
-  base_ = std::make_shared<const Snapshot>(std::move(loaded).value());
+  base_ = std::move(base).value();
   delta_ = std::make_unique<DeltaGraph>(base_);
-  auto log = IngestLog::Open(wal_path);
-  if (!log.ok()) return log.status();
   log_ = std::move(log).value();
   // Same epoch, same answers, fresh statistics and flat CSR adjacency.
   PublishViewLocked();

@@ -1,6 +1,7 @@
 #ifndef GANSWER_STORE_LIVE_LIVE_KB_H_
 #define GANSWER_STORE_LIVE_LIVE_KB_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -42,6 +43,10 @@ class KbView {
   /// The SPARQL engine over this view, built lazily on first use (one
   /// plan-cost setup per epoch, only when /sparql traffic arrives).
   const rdf::SparqlEngine& sparql() const;
+  /// The engine if sparql() has built it, else null; never builds it.
+  const rdf::SparqlEngine* sparql_if_built() const {
+    return sparql_built_.load(std::memory_order_acquire);
+  }
   /// Accumulated delta size (adds + deletes since the current base).
   size_t delta_triples() const { return delta_triples_; }
 
@@ -62,6 +67,7 @@ class KbView {
   size_t delta_triples_ = 0;
   mutable std::once_flag sparql_once_;
   mutable std::unique_ptr<rdf::SparqlEngine> sparql_;
+  mutable std::atomic<const rdf::SparqlEngine*> sparql_built_{nullptr};
 };
 
 /// \brief The live-updatable knowledge base: an immutable base snapshot, a
@@ -82,16 +88,24 @@ class KbView {
 /// fsync'd. Reopening a directory replays the WAL over the manifest's base
 /// snapshot and lands on exactly the last committed epoch (torn tails are
 /// truncated). Compaction folds base+delta into a fresh snapshot file and
-/// swaps the manifest atomically — crash at any point leaves a consistent,
-/// replayable (snapshot, WAL) pair and never applies a batch twice.
+/// swaps the manifest atomically — crash or failure at any point leaves a
+/// consistent, replayable (snapshot, WAL) pair and never applies a batch
+/// twice.
+///
+/// Read-only store (empty Options::dir): the base snapshot alone, served
+/// as one pure-base view at epoch 0. It creates no directory, manifest,
+/// WAL or compactor thread, and Apply answers NotSupported. This is how a
+/// frozen server holds its KB.
 class LiveKb {
  public:
   struct Options {
     /// Store directory: manifest, WAL and compacted snapshots live here.
+    /// Empty = a read-only store over \p base_snapshot.
     std::string dir;
     /// Base snapshot to bootstrap from when \p dir has no manifest yet
-    /// (first open). Ignored on reopen. The file is never modified;
-    /// compaction writes new snapshots under \p dir.
+    /// (first open); ignored on reopen. The whole KB of a read-only store.
+    /// The file is never modified; compaction writes new snapshots under
+    /// \p dir.
     std::string base_snapshot;
     /// Backs the paraphrase dictionary and per-view QA systems; must
     /// outlive the LiveKb.
@@ -103,8 +117,6 @@ class LiveKb {
     /// entries are unreachable via the key's identity prefix and age out
     /// by LRU). 0 disables caching.
     size_t question_cache_capacity = 1024;
-    /// 0 = the cache's default of 8 (common/lru_cache.h).
-    size_t question_cache_shards = 0;
     /// Accumulated delta size (adds + deletes) that arms compaction.
     /// 0 = compact only when Compact() is called explicitly.
     size_t compact_threshold = 0;
@@ -114,8 +126,6 @@ class LiveKb {
     bool background_compaction = true;
     /// Admission bound: one batch may carry at most this many operations.
     size_t max_batch_ops = 100000;
-    /// Write compacted snapshots compressed.
-    bool compress_compacted = false;
     /// Load base snapshots via mmap (zero-copy) instead of bulk read.
     bool mmap_base = false;
   };
@@ -145,7 +155,8 @@ class LiveKb {
   };
 
   /// Opens (or bootstraps) the live store at \p options.dir and recovers to
-  /// the last committed epoch.
+  /// the last committed epoch; with an empty dir, opens the read-only store
+  /// over \p options.base_snapshot.
   static StatusOr<std::unique_ptr<LiveKb>> Open(Options options);
   ~LiveKb();
 
@@ -165,6 +176,7 @@ class LiveKb {
   /// it. The POST /update entry point.
   StatusOr<BatchResult> ApplyText(std::string_view ntriples);
   /// Validates, logs (fsync), applies and publishes one batch.
+  /// NotSupported on a read-only store.
   StatusOr<BatchResult> Apply(const std::vector<rdf::UpdateOp>& ops);
 
   /// Folds base + delta into a fresh compacted snapshot under dir, swaps
@@ -174,6 +186,8 @@ class LiveKb {
 
   IngestCounters counters() const;
   const Options& options() const { return options_; }
+  /// True when opened without a directory: no WAL, Apply is refused.
+  bool read_only() const { return options_.dir.empty(); }
 
   /// TEST ONLY: the next Apply tears its WAL write mid-record and aborts.
   void CrashMidBatchForTest() { log_->CrashMidAppendForTest(); }
@@ -187,6 +201,11 @@ class LiveKb {
   explicit LiveKb(Options options);
 
   Status OpenLocked();
+  /// Loads the snapshot at \p path the way every base is loaded.
+  StatusOr<std::shared_ptr<const Snapshot>> ReadBase(
+      const std::string& path) const;
+  /// Loads the snapshot at \p path as base_ under an empty delta.
+  Status LoadBaseLocked(const std::string& path);
   Status CompactLocked();
   /// Builds and atomically publishes the view of the current delta state.
   void PublishViewLocked();

@@ -204,6 +204,90 @@ TEST(LiveKbTest, CompactionFoldsTheDeltaAndKeepsServing) {
   EXPECT_TRUE(std::filesystem::exists(scratch.snapshot));
 }
 
+// A compaction that fails before its manifest swap must leave the store on
+// the pair the manifest names, in memory too: batches acked after the
+// failure land in that WAL and survive a reopen. Two failure points: the
+// snapshot write (a directory squats on the target path) and the load of
+// the written snapshot (the target path links to /dev/null, so the write
+// succeeds and the load finds no snapshot).
+TEST(LiveKbTest, FailedCompactionLosesNoAckedBatch) {
+  Scratch scratch("livekb_failed_compact");
+  const std::string store = scratch.Options().dir;
+  std::set<std::string> committed;
+  {
+    auto kb = LiveKb::Open(scratch.Options());
+    ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+    ASSERT_TRUE(
+        (*kb)->Apply({{"Dave", "knows", "Alice", TermKind::kIri, false}})
+            .ok());
+    ASSERT_TRUE(std::filesystem::create_directory(store + "/base-1.snap"));
+    EXPECT_FALSE((*kb)->Compact().ok());
+    ASSERT_TRUE(
+        (*kb)->Apply({{"Eve", "knows", "Dave", TermKind::kIri, false}}).ok());
+    std::filesystem::create_symlink("/dev/null", store + "/base-2.snap");
+    EXPECT_FALSE((*kb)->Compact().ok());
+    ASSERT_TRUE(
+        (*kb)->Apply({{"Frank", "knows", "Eve", TermKind::kIri, false}})
+            .ok());
+    EXPECT_EQ((*kb)->counters().compactions, 0u);
+    EXPECT_EQ((*kb)->view()->epoch(), 3u);
+    committed = TripleTexts((*kb)->view()->graph());
+  }
+  auto reopened = LiveKb::Open(scratch.Options());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->view()->epoch(), 3u);
+  EXPECT_EQ(TripleTexts((*reopened)->view()->graph()), committed);
+  // Past the obstacles, compaction works again.
+  ASSERT_TRUE((*reopened)->Compact().ok());
+  EXPECT_EQ((*reopened)->counters().compactions, 1u);
+}
+
+// An empty dir opens the read-only store: the snapshot served as one
+// pure-base view at epoch 0. Nothing is written, no compactor runs, and
+// updates are refused rather than dropped.
+TEST(LiveKbTest, ReadOnlyOpenServesBaseAndRejectsWrites) {
+  Scratch scratch("livekb_read_only");
+  auto files = [&] {
+    std::set<std::string> names;
+    for (const auto& entry :
+         std::filesystem::recursive_directory_iterator(scratch.dir)) {
+      names.insert(entry.path().string());
+    }
+    return names;
+  };
+  const std::set<std::string> before = files();
+  LiveKb::Options options = scratch.Options();
+  options.dir.clear();
+  options.compact_threshold = 1;
+  options.background_compaction = true;
+  auto kb = LiveKb::Open(std::move(options));
+  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+  EXPECT_TRUE((*kb)->read_only());
+
+  auto snapshot = ReadSnapshotFile(scratch.snapshot, &scratch.lexicon);
+  ASSERT_TRUE(snapshot.ok());
+  std::shared_ptr<const KbView> view = (*kb)->view();
+  EXPECT_EQ(view->epoch(), 0u);
+  EXPECT_EQ(view->delta_triples(), 0u);
+  EXPECT_EQ(view->base().fingerprint, snapshot->fingerprint);
+  EXPECT_EQ(TripleTexts(view->graph()), TripleTexts(*snapshot->graph));
+
+  auto applied =
+      (*kb)->Apply({{"Dave", "knows", "Alice", TermKind::kIri, false}});
+  EXPECT_TRUE(applied.status().IsNotSupported())
+      << applied.status().ToString();
+  auto text = (*kb)->ApplyText("<Dave> <knows> <Alice> .\n");
+  EXPECT_TRUE(text.status().IsNotSupported()) << text.status().ToString();
+  EXPECT_TRUE((*kb)->Compact().ok());  // nothing to fold
+
+  EXPECT_EQ((*kb)->view(), view);
+  LiveKb::IngestCounters counters = (*kb)->counters();
+  EXPECT_EQ(counters.epoch, 0u);
+  EXPECT_EQ(counters.batches, 0u);
+  EXPECT_EQ(counters.wal_bytes, 0u);
+  EXPECT_EQ(files(), before);
+}
+
 TEST(LiveKbTest, ThresholdArmsForegroundCompaction) {
   Scratch scratch("livekb_threshold");
   LiveKb::Options options = scratch.Options();

@@ -71,6 +71,15 @@ const char kRunningExample[] =
     "\"Who was married to an actor that played in Philadelphia ?\"}";
 const char kSpouseTriple[] =
     "<Melanie_Griffith> <spouse> <Antonio_Banderas> .";
+const char kSpouseQuery[] =
+    "{\"query\": \"SELECT ?w WHERE { ?w <spouse> <Antonio_Banderas> }\"}";
+
+/// The integer after `"key":` in a JSON body, or -1 when absent.
+long long JsonInt(const std::string& body, const std::string& key) {
+  size_t at = body.find("\"" + key + "\":");
+  if (at == std::string::npos) return -1;
+  return std::strtoll(body.c_str() + at + key.size() + 3, nullptr, 10);
+}
 
 TEST(LiveServiceTest, UpdatesChangeAnswersAndSurviveRestart) {
   LiveDir live("live_service_freshness");
@@ -130,9 +139,7 @@ TEST(LiveServiceTest, UpdatesChangeAnswersAndSurviveRestart) {
         << back->body;
 
     // /sparql serves the same pinned-view freshness.
-    auto rows = client.Post(
-        "/sparql",
-        "{\"query\": \"SELECT ?w WHERE { ?w <spouse> <Antonio_Banderas> }\"}");
+    auto rows = client.Post("/sparql", kSpouseQuery);
     ASSERT_TRUE(rows.ok());
     ASSERT_EQ(rows->status, 200) << rows->body;
     EXPECT_NE(rows->body.find("\"Melanie_Griffith\""), std::string::npos)
@@ -223,8 +230,35 @@ TEST(LiveServiceTest, FrozenServiceHasNoUpdateEndpoint) {
   service.Shutdown();
 }
 
+// The planner block reads the pinned epoch's SPARQL engine. /stats never
+// builds that lazy engine on the loop thread, so it reads zero until the
+// epoch's first /sparql and counts that query afterwards.
+TEST(LiveServiceTest, StatsReportThePinnedEpochPlanner) {
+  LiveDir live("live_service_planner");
+  QaService service(LiveOptions(live));
+  ASSERT_TRUE(service.Start().ok());
+  BlockingHttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", service.port()).ok());
+
+  auto before = client.Get("/stats");
+  ASSERT_TRUE(before.ok());
+  EXPECT_NE(before->body.find("\"planner\""), std::string::npos)
+      << before->body;
+  EXPECT_EQ(JsonInt(before->body, "planned_queries"), 0) << before->body;
+
+  auto rows = client.Post("/sparql", kSpouseQuery);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->status, 200) << rows->body;
+  auto after = client.Get("/stats");
+  ASSERT_TRUE(after.ok());
+  EXPECT_GE(JsonInt(after->body, "planned_queries"), 1) << after->body;
+
+  client.Close();
+  service.Shutdown();
+}
+
 // At epoch 0 a live service serves the identical bytes a frozen service
-// would for the same snapshot: the live plumbing (per-view QA system,
+// would for the same snapshot: the writable store (per-view QA system,
 // epoch-aware cache keys, pinned-view serialization) changes nothing about
 // the response surface. Cached worker-path bodies have zeroed stage timers,
 // so they are deterministic and comparable across services.
@@ -255,6 +289,25 @@ TEST(LiveServiceTest, LiveEpochZeroBodiesMatchFrozenServing) {
     return cached->body;
   };
   EXPECT_EQ(cached_body(frozen_service), cached_body(live_service));
+
+  auto sparql_body = [&](QaService& service, const char* query) {
+    BlockingHttpClient client;
+    EXPECT_TRUE(client.Connect("127.0.0.1", service.port()).ok());
+    auto rows = client.Post("/sparql", query);
+    EXPECT_TRUE(rows.ok());
+    EXPECT_EQ(rows->status, 200);
+    client.Close();
+    return rows->body;
+  };
+  for (const char* query :
+       {kSpouseQuery,
+        "{\"query\": \"SELECT ?w ?f WHERE { ?f <starring> ?a . "
+        "?w <spouse> ?a }\"}"}) {
+    std::string frozen = sparql_body(frozen_service, query);
+    EXPECT_NE(frozen.find("\"Melanie_Griffith\""), std::string::npos)
+        << frozen;
+    EXPECT_EQ(frozen, sparql_body(live_service, query)) << query;
+  }
 
   live_service.Shutdown();
   frozen_service.Shutdown();

@@ -167,6 +167,9 @@ TEST(QaServiceTest, HealthzAndStatsReportServiceState) {
   EXPECT_NE(health->body.find("\"status\":\"ok\""), std::string::npos)
       << health->body;
   EXPECT_NE(health->body.find("\"snapshot_fingerprint\""), std::string::npos);
+  // A frozen service is the read-only store at epoch 0.
+  EXPECT_NE(health->body.find("\"epoch\":0"), std::string::npos)
+      << health->body;
 
   // One answered question shows up in the per-endpoint counters.
   auto answer = client.Post("/answer", "{\"question\": \"Who is nobody ?\"}");
@@ -181,7 +184,8 @@ TEST(QaServiceTest, HealthzAndStatsReportServiceState) {
         "\"requests\"", "\"connections_active\"", "\"graph\"",
         "\"predicates\"", "\"avg_out_fanout\"", "\"planner\"",
         "\"planned_queries\"", "\"merge_joins\"",
-        "\"intermediate_bindings\""}) {
+        "\"intermediate_bindings\"", "\"ingest\"", "\"batches\":0",
+        "\"/update\""}) {
     EXPECT_NE(stats->body.find(key), std::string::npos)
         << "missing " << key << " in " << stats->body;
   }
