@@ -1,15 +1,15 @@
-// Storage tier: disk footprint and cold-start cost of the snapshot
-// encodings, measured end to end ("process start" to "first question
+// Storage tier: disk footprint and cold-start cost of the snapshot load
+// paths, measured end to end ("process start" to "first question
 // answered").
 //
-//  - size:      raw vs compressed container bytes
-//  - cold start: raw-read vs raw-mmap vs compressed, each in a fresh child
-//    process (fork+exec of this binary) so VmHWM and the load cost are not
-//    polluted by the parent's world-building. Per mode the child loads the
-//    snapshot, builds the QA system, answers the probe questions, and
+//  - size:      container bytes, per section
+//  - cold start: bulk read vs mmap of the same container, each in a fresh
+//    child process (fork+exec of this binary) so VmHWM and the load cost are
+//    not polluted by the parent's world-building. Per mode the child loads
+//    the snapshot, builds the QA system, answers the probe questions, and
 //    reports load ms / first-answer ms / total ms / peak RSS / a hash of
 //    every answer string. The parent asserts the hash is identical across
-//    all modes — whatever the encoding or load path, the answers must be
+//    both modes — whatever the load path, the answers must be
 //    byte-identical.
 //
 // Emits one BENCH_JSON line per mode plus a container-size line.
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
     return ChildMain(argv[2], argv[3], argv[4]);
   }
 
-  bench::Header("Storage tier: container size and cold start by encoding");
+  bench::Header("Storage tier: container size and cold start by load mode");
 
   datagen::KbGenerator::Options kb_options;
   kb_options.num_families = 1600;
@@ -173,71 +173,40 @@ int main(int argc, char** argv) {
     }
   }
 
-  struct Variant {
-    const char* name;
-    store::SnapshotWriteOptions options;
-    const char* load_mode;
-  };
-  // raw-read and raw-mmap load the same raw container two ways.
-  constexpr size_t kRaw = 0, kRawMmap = 1, kCompressed = 2, kNumVariants = 3;
-  const Variant kVariants[kNumVariants] = {
-      {"raw-read", {.compress = false}, "read"},
-      {"raw-mmap", {.compress = false}, "mmap"},
-      {"compressed", {.compress = true}, "read"},
-  };
-
-  size_t bytes_by_variant[kNumVariants] = {};
-  std::string path_by_variant[kNumVariants];
-  store::SnapshotStats stats_by_variant[kNumVariants];
-  for (size_t i = 0; i < kNumVariants; ++i) {
-    const Variant& v = kVariants[i];
-    path_by_variant[i] = TempPath((std::string("bench_storage_tier.") +
-                                   v.name + ".snap").c_str());
-    store::SnapshotStats stats;
-    Status st = store::WriteSnapshotFile(world.kb.graph, *world.verified,
-                                         path_by_variant[i], &stats,
-                                         v.options);
-    if (!st.ok()) {
-      std::fprintf(stderr, "write %s failed: %s\n", v.name,
-                   st.ToString().c_str());
-      return 1;
-    }
-    bytes_by_variant[i] = stats.total_bytes;
-    stats_by_variant[i] = stats;
+  // One container, loaded two ways.
+  std::string snapshot_path = TempPath("bench_storage_tier.snap");
+  store::SnapshotStats stats;
+  Status st = store::WriteSnapshotFile(world.kb.graph, *world.verified,
+                                       snapshot_path, &stats);
+  if (!st.ok()) {
+    std::fprintf(stderr, "write failed: %s\n", st.ToString().c_str());
+    return 1;
   }
 
-  std::printf("\n%-12s %10s %10s %10s %10s %10s\n", "container", "graph",
-              "sigs", "entities", "dict", "stats");
-  for (size_t i : {kRaw, kCompressed}) {
-    const store::SnapshotStats& s = stats_by_variant[i];
-    std::printf("%-12s %10zu %10zu %10zu %10zu %10zu\n", kVariants[i].name,
-                s.graph_bytes, s.signature_bytes, s.entity_index_bytes,
-                s.dictionary_bytes, s.stats_bytes);
-  }
-
-  std::printf("\n%-12s %12s %10s\n", "container", "bytes", "vs raw");
-  for (size_t i : {kRaw, kCompressed}) {
-    std::printf("%-12s %12zu %9.2fx\n", kVariants[i].name, bytes_by_variant[i],
-                static_cast<double>(bytes_by_variant[kRaw]) /
-                    bytes_by_variant[i]);
-  }
+  std::printf("\n%10s %10s %10s %10s %10s %12s\n", "graph", "sigs",
+              "entities", "dict", "stats", "total");
+  std::printf("%10zu %10zu %10zu %10zu %10zu %12zu\n", stats.graph_bytes,
+              stats.signature_bytes, stats.entity_index_bytes,
+              stats.dictionary_bytes, stats.stats_bytes, stats.total_bytes);
   bench::JsonLine("storage_tier_size")
       .Field("triples", world.kb.graph.NumTriples())
-      .Field("v3_raw_bytes", bytes_by_variant[kRaw])
-      .Field("v3_compressed_bytes", bytes_by_variant[kCompressed])
-      .Field("compression_ratio",
-             static_cast<double>(bytes_by_variant[kRaw]) /
-                 bytes_by_variant[kCompressed])
+      .Field("v3_raw_bytes", stats.total_bytes)
       .Emit();
+
+  struct Variant {
+    const char* name;
+    const char* load_mode;
+  };
+  constexpr size_t kRead = 0, kMmap = 1;
+  const Variant kVariants[] = {{"raw-read", "read"}, {"raw-mmap", "mmap"}};
 
   std::printf("\n%-12s %10s %12s %10s %12s\n", "mode", "load ms",
               "first-ans ms", "total ms", "vm_hwm kb");
   uint64_t expected_hash = 0;
-  double read_first_ms = 0, mmap_first_ms = 0;
-  for (size_t i = 0; i < kNumVariants; ++i) {
+  double first_answer_ms[2] = {};
+  for (size_t i : {kRead, kMmap}) {
     const Variant& v = kVariants[i];
-    ColdStart r =
-        RunChild(argv[0], v.load_mode, path_by_variant[i], questions_path);
+    ColdStart r = RunChild(argv[0], v.load_mode, snapshot_path, questions_path);
     if (expected_hash == 0) {
       expected_hash = r.answer_hash;
     } else if (r.answer_hash != expected_hash) {
@@ -248,13 +217,12 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(expected_hash));
       return 1;
     }
-    if (i == kRaw) read_first_ms = r.first_answer_ms;
-    if (i == kRawMmap) mmap_first_ms = r.first_answer_ms;
+    first_answer_ms[i] = r.first_answer_ms;
     std::printf("%-12s %10.2f %12.2f %10.2f %12zu\n", v.name, r.load_ms,
                 r.first_answer_ms, r.total_ms, r.vm_hwm_kb);
     bench::JsonLine("storage_tier_cold_start")
         .Field("mode", v.name)
-        .Field("snapshot_bytes", bytes_by_variant[i])
+        .Field("snapshot_bytes", stats.total_bytes)
         .Field("load_ms", r.load_ms)
         .Field("first_answer_ms", r.first_answer_ms)
         .Field("total_ms", r.total_ms)
@@ -265,9 +233,9 @@ int main(int argc, char** argv) {
   std::printf("\nanswers identical across all load paths (hash %llu)\n",
               static_cast<unsigned long long>(expected_hash));
   std::printf("mmap first answer %.2f ms vs bulk read %.2f ms\n",
-              mmap_first_ms, read_first_ms);
+              first_answer_ms[kMmap], first_answer_ms[kRead]);
 
-  for (const std::string& path : path_by_variant) std::remove(path.c_str());
+  std::remove(snapshot_path.c_str());
   std::remove(questions_path.c_str());
   return 0;
 }

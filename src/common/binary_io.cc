@@ -84,6 +84,15 @@ Status BinaryReader::ReadVarint(uint64_t* out) {
   return Status::Corruption("varint longer than 64 bits");
 }
 
+Status BinaryReader::ReadCount(uint64_t* out) {
+  GANSWER_RETURN_NOT_OK(ReadVarint(out));
+  if (*out > remaining()) {
+    return Status::Corruption("element count " + std::to_string(*out) +
+                              " exceeds remaining bytes");
+  }
+  return Status::Ok();
+}
+
 Status BinaryReader::ReadString(std::string* out) {
   std::string_view view;
   GANSWER_RETURN_NOT_OK(ReadStringView(&view));
@@ -103,7 +112,11 @@ Status BinaryReader::ReadStringView(std::string_view* out) {
 Status BinaryReader::ReadBoolVector(std::vector<bool>* out) {
   uint64_t count = 0;
   GANSWER_RETURN_NOT_OK(ReadVarint(&count));
-  uint64_t bytes = (count + 7) / 8;
+  // Checked by division: count + 7 wraps for counts near 2^64.
+  if (count / 8 > remaining()) {
+    return Status::Corruption("bool vector count exceeds remaining bytes");
+  }
+  uint64_t bytes = count / 8 + (count % 8 != 0);
   GANSWER_RETURN_NOT_OK(Need(bytes));
   out->assign(count, false);
   for (uint64_t i = 0; i < count; ++i) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -129,6 +128,10 @@ class BinaryReader {
   Status ReadU64(uint64_t* out);
   Status ReadDouble(double* out);
   Status ReadVarint(uint64_t* out);
+  /// Reads a varint element count and rejects it with Status::Corruption
+  /// when it exceeds remaining(): every element takes at least one byte, so
+  /// a larger count is corrupt. Call it before reserving for the elements.
+  Status ReadCount(uint64_t* out);
   Status ReadString(std::string* out);
   /// Zero-copy view of the next length-prefixed string; valid while the
   /// underlying bytes live.
@@ -141,7 +144,11 @@ class BinaryReader {
     std::span<const T> payload;
     GANSWER_RETURN_NOT_OK(ReadPodPayload<T>(&count, &payload));
     out->resize(count);
-    std::memcpy(out->data(), payload.data(), count * sizeof(T));
+    // memcpy requires non-null pointers even for zero bytes, and an empty
+    // vector's data() may be null.
+    if (count != 0) {
+      std::memcpy(out->data(), payload.data(), count * sizeof(T));
+    }
     return Status::Ok();
   }
 
@@ -160,7 +167,9 @@ class BinaryReader {
       out->AssignView(payload);
     } else {
       std::vector<T> copy(count);
-      std::memcpy(copy.data(), payload.data(), count * sizeof(T));
+      if (count != 0) {
+        std::memcpy(copy.data(), payload.data(), count * sizeof(T));
+      }
       out->Assign(std::move(copy));
     }
     return Status::Ok();
@@ -215,51 +224,6 @@ class BinaryReader {
   bool aligned_ = false;
   bool views_allowed_ = false;
 };
-
-/// \brief Delta-varint codec for the snapshot's compressed sections.
-///
-/// The columns worth compressing (CSR offsets, sorted key columns,
-/// per-vertex sorted neighbor runs) are non-decreasing, so consecutive
-/// differences are small and LEB128 shrinks them to one or two bytes. The
-/// writer asserts nothing — callers pass columns their own invariants
-/// already keep sorted — but the reader rejects any encoding whose running
-/// sum overflows or exceeds the destination type.
-template <typename T>
-void WriteDeltaVarints(BinaryWriter& w, std::span<const T> sorted) {
-  static_assert(std::is_unsigned_v<T>);
-  w.WriteVarint(sorted.size());
-  uint64_t prev = 0;
-  for (T x : sorted) {
-    w.WriteVarint(static_cast<uint64_t>(x) - prev);
-    prev = static_cast<uint64_t>(x);
-  }
-}
-
-template <typename T>
-Status ReadDeltaVarints(BinaryReader& r, std::vector<T>* out) {
-  static_assert(std::is_unsigned_v<T>);
-  uint64_t count = 0;
-  GANSWER_RETURN_NOT_OK(r.ReadVarint(&count));
-  // Each encoded element is at least one byte, so a count beyond the
-  // remaining bytes is corrupt — checked before the allocation.
-  if (count > r.remaining()) {
-    return Status::Corruption("delta column count exceeds remaining bytes");
-  }
-  out->clear();
-  out->reserve(count);
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t delta = 0;
-    GANSWER_RETURN_NOT_OK(r.ReadVarint(&delta));
-    uint64_t value = prev + delta;
-    if (value < prev || value > std::numeric_limits<T>::max()) {
-      return Status::Corruption("delta column overflows element type");
-    }
-    out->push_back(static_cast<T>(value));
-    prev = value;
-  }
-  return Status::Ok();
-}
 
 }  // namespace ganswer
 

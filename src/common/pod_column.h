@@ -16,8 +16,9 @@ namespace ganswer {
 /// This is the storage primitive behind the zero-copy snapshot tier: the
 /// structures that serve queries (CSR adjacency, permutation offsets, term
 /// arena, signature arrays) keep their accessors unchanged while the bytes
-/// live either on the heap (bulk-read or decompressed sections) or directly
-/// in the file mapping (raw mmap-ed sections, paged in on first touch).
+/// live either on the heap (bulk-read sections, or columns built in
+/// memory) or directly in the file mapping (mmap-ed sections, paged in on
+/// first touch).
 ///
 /// A view column never outlives its backing mapping by contract: the
 /// Snapshot bundle keeps the MmapFile alive alongside every structure built

@@ -153,11 +153,8 @@ void EntityIndex::FinalizePostings() {
   }
 }
 
-void EntityIndex::SaveBinary(BinaryWriter* out, bool compressed) const {
-  // Both postings maps are written in sorted key order; the compressed
-  // encoding exploits that twice — keys are front-coded against their
-  // predecessor (normalized labels share long prefixes) and the sorted
-  // posting lists become delta varints instead of fixed u32s.
+void EntityIndex::SaveBinary(BinaryWriter* out) const {
+  // Both postings maps are written in sorted key order.
   auto write_postings =
       [&](const std::unordered_map<std::string, std::vector<rdf::TermId>>& m) {
         std::vector<const std::string*> keys;
@@ -168,22 +165,9 @@ void EntityIndex::SaveBinary(BinaryWriter* out, bool compressed) const {
                     return *a < *b;
                   });
         out->WriteVarint(keys.size());
-        const std::string* prev = nullptr;
         for (const std::string* key : keys) {
-          if (compressed) {
-            size_t lcp = 0;
-            if (prev != nullptr) {
-              size_t limit = std::min(prev->size(), key->size());
-              while (lcp < limit && (*prev)[lcp] == (*key)[lcp]) ++lcp;
-            }
-            out->WriteVarint(lcp);
-            out->WriteString(std::string_view(*key).substr(lcp));
-            WriteDeltaVarints<rdf::TermId>(*out, m.at(*key));
-            prev = key;
-          } else {
-            out->WriteString(*key);
-            out->WritePodVector(m.at(*key));
-          }
+          out->WriteString(*key);
+          out->WritePodVector(m.at(*key));
         }
       };
   write_postings(by_label_);
@@ -193,47 +177,34 @@ void EntityIndex::SaveBinary(BinaryWriter* out, bool compressed) const {
   vertices.reserve(labels_of_.size());
   for (const auto& [v, labels] : labels_of_) vertices.push_back(v);
   std::sort(vertices.begin(), vertices.end());
-  if (compressed) {
-    WriteDeltaVarints<rdf::TermId>(*out, vertices);
-  } else {
-    out->WriteVarint(vertices.size());
-  }
+  out->WriteVarint(vertices.size());
   for (rdf::TermId v : vertices) {
     const std::vector<std::string>& labels = labels_of_.at(v);
-    if (!compressed) out->WriteU32(v);
+    out->WriteU32(v);
     out->WriteVarint(labels.size());
     for (const std::string& label : labels) out->WriteString(label);
   }
 }
 
 StatusOr<std::unique_ptr<EntityIndex>> EntityIndex::LoadBinary(
-    const rdf::RdfGraph& graph, BinaryReader* in, bool compressed) {
+    const rdf::RdfGraph& graph, BinaryReader* in) {
   auto index =
       std::unique_ptr<EntityIndex>(new EntityIndex(graph, LoadTag{}));
+  const size_t num_terms = graph.dict().size();
   auto read_postings =
       [&](std::unordered_map<std::string, std::vector<rdf::TermId>>* m) {
         uint64_t count = 0;
-        GANSWER_RETURN_NOT_OK(in->ReadVarint(&count));
+        GANSWER_RETURN_NOT_OK(in->ReadCount(&count));
         m->reserve(count);
-        std::string prev;
         for (uint64_t i = 0; i < count; ++i) {
           std::string key;
           std::vector<rdf::TermId> list;
-          if (compressed) {
-            uint64_t lcp = 0;
-            GANSWER_RETURN_NOT_OK(in->ReadVarint(&lcp));
-            if (lcp > prev.size()) {
-              return Status::Corruption(
-                  "entity index key prefix exceeds predecessor");
+          GANSWER_RETURN_NOT_OK(in->ReadString(&key));
+          GANSWER_RETURN_NOT_OK(in->ReadPodVector(&list));
+          for (rdf::TermId v : list) {
+            if (v >= num_terms) {
+              return Status::Corruption("entity index posting out of range");
             }
-            std::string suffix;
-            GANSWER_RETURN_NOT_OK(in->ReadString(&suffix));
-            key = prev.substr(0, lcp) + suffix;
-            GANSWER_RETURN_NOT_OK(ReadDeltaVarints<rdf::TermId>(*in, &list));
-            prev = key;
-          } else {
-            GANSWER_RETURN_NOT_OK(in->ReadString(&key));
-            GANSWER_RETURN_NOT_OK(in->ReadPodVector(&list));
           }
           if (!m->emplace(std::move(key), std::move(list)).second) {
             return Status::Corruption("duplicate entity index key");
@@ -244,27 +215,17 @@ StatusOr<std::unique_ptr<EntityIndex>> EntityIndex::LoadBinary(
   GANSWER_RETURN_NOT_OK(read_postings(&index->by_label_));
   GANSWER_RETURN_NOT_OK(read_postings(&index->by_token_));
 
-  std::vector<rdf::TermId> vertices;
   uint64_t num_vertices = 0;
-  if (compressed) {
-    GANSWER_RETURN_NOT_OK(ReadDeltaVarints<rdf::TermId>(*in, &vertices));
-    num_vertices = vertices.size();
-  } else {
-    GANSWER_RETURN_NOT_OK(in->ReadVarint(&num_vertices));
-  }
+  GANSWER_RETURN_NOT_OK(in->ReadCount(&num_vertices));
   index->labels_of_.reserve(num_vertices);
   for (uint64_t i = 0; i < num_vertices; ++i) {
     rdf::TermId v = rdf::kInvalidTerm;
-    if (compressed) {
-      v = vertices[i];
-    } else {
-      GANSWER_RETURN_NOT_OK(in->ReadU32(&v));
-    }
-    if (v >= graph.dict().size()) {
+    GANSWER_RETURN_NOT_OK(in->ReadU32(&v));
+    if (v >= num_terms) {
       return Status::Corruption("entity index vertex out of range");
     }
     uint64_t num_labels = 0;
-    GANSWER_RETURN_NOT_OK(in->ReadVarint(&num_labels));
+    GANSWER_RETURN_NOT_OK(in->ReadCount(&num_labels));
     std::vector<std::string>& labels = index->labels_of_[v];
     labels.reserve(num_labels);
     for (uint64_t j = 0; j < num_labels; ++j) {

@@ -56,14 +56,12 @@ class EntityIndex {
   }
 
   /// Snapshot serialization of the three label maps, with deterministic key
-  /// order so identical indexes produce identical bytes. \p compressed
-  /// front-codes the sorted keys and delta-varints the sorted posting
-  /// lists (several times smaller; the loader must pass the same flag).
-  void SaveBinary(BinaryWriter* out, bool compressed = false) const;
+  /// order so identical indexes produce identical bytes.
+  void SaveBinary(BinaryWriter* out) const;
   /// Restores an index over \p graph (the same graph the saved index was
   /// built from; postings are restored verbatim, nothing is re-derived).
   static StatusOr<std::unique_ptr<EntityIndex>> LoadBinary(
-      const rdf::RdfGraph& graph, BinaryReader* in, bool compressed = false);
+      const rdf::RdfGraph& graph, BinaryReader* in);
 
  private:
   struct LoadTag {};

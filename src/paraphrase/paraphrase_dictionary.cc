@@ -105,14 +105,14 @@ Status ParaphraseDictionary::LoadBinary(BinaryReader* in, size_t num_terms) {
   inverted_.clear();
 
   uint64_t num_phrases = 0;
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&num_phrases));
+  GANSWER_RETURN_NOT_OK(in->ReadCount(&num_phrases));
   phrases_.reserve(num_phrases);
   by_text_.reserve(num_phrases);
   for (uint64_t i = 0; i < num_phrases; ++i) {
     PhraseRecord rec;
     GANSWER_RETURN_NOT_OK(in->ReadString(&rec.text));
     uint64_t num_lemmas = 0;
-    GANSWER_RETURN_NOT_OK(in->ReadVarint(&num_lemmas));
+    GANSWER_RETURN_NOT_OK(in->ReadCount(&num_lemmas));
     rec.lemmas.reserve(num_lemmas);
     for (uint64_t j = 0; j < num_lemmas; ++j) {
       std::string lemma;
@@ -120,13 +120,13 @@ Status ParaphraseDictionary::LoadBinary(BinaryReader* in, size_t num_terms) {
       rec.lemmas.push_back(std::move(lemma));
     }
     uint64_t num_entries = 0;
-    GANSWER_RETURN_NOT_OK(in->ReadVarint(&num_entries));
+    GANSWER_RETURN_NOT_OK(in->ReadCount(&num_entries));
     rec.entries.reserve(num_entries);
     for (uint64_t j = 0; j < num_entries; ++j) {
       ParaphraseEntry entry;
       GANSWER_RETURN_NOT_OK(in->ReadDouble(&entry.confidence));
       uint64_t num_steps = 0;
-      GANSWER_RETURN_NOT_OK(in->ReadVarint(&num_steps));
+      GANSWER_RETURN_NOT_OK(in->ReadCount(&num_steps));
       entry.path.steps.reserve(num_steps);
       for (uint64_t s = 0; s < num_steps; ++s) {
         PathStep step;
@@ -149,7 +149,7 @@ Status ParaphraseDictionary::LoadBinary(BinaryReader* in, size_t num_terms) {
   }
 
   uint64_t num_inverted = 0;
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&num_inverted));
+  GANSWER_RETURN_NOT_OK(in->ReadCount(&num_inverted));
   inverted_.reserve(num_inverted);
   for (uint64_t i = 0; i < num_inverted; ++i) {
     std::string lemma;

@@ -7,31 +7,6 @@
 namespace ganswer {
 namespace rdf {
 
-namespace {
-
-void WriteVarintCounts(BinaryWriter* out, std::span<const uint64_t> counts) {
-  out->WriteVarint(counts.size());
-  for (uint64_t c : counts) out->WriteVarint(c);
-}
-
-Status ReadVarintCounts(BinaryReader* in, std::vector<uint64_t>* out) {
-  uint64_t count = 0;
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&count));
-  if (count > in->remaining()) {
-    return Status::Corruption("count column exceeds remaining bytes");
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t c = 0;
-    GANSWER_RETURN_NOT_OK(in->ReadVarint(&c));
-    out->push_back(c);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
 GraphStats GraphStats::Compute(const RdfGraph& graph) {
   GraphStats stats;
   stats.num_triples_ = graph.NumTriples();
@@ -160,68 +135,33 @@ size_t GraphStats::view_bytes() const {
          classes_.view_bytes() + instance_counts_.view_bytes();
 }
 
-Status GraphStats::SaveBinary(BinaryWriter* out, bool compressed) const {
+Status GraphStats::SaveBinary(BinaryWriter* out) const {
   if (out == nullptr) return Status::InvalidArgument("null writer");
-  if (!compressed) {
-    out->WriteU64(num_triples_);
-    out->WriteU64(num_vertices_);
-    out->WriteU64(subjects_with_out_);
-    out->WriteU64(objects_with_in_);
-    out->WritePodSpan(predicates_.span());
-    out->WritePodSpan(triples_.span());
-    out->WritePodSpan(distinct_subjects_.span());
-    out->WritePodSpan(distinct_objects_.span());
-    out->WritePodSpan(classes_.span());
-    out->WritePodSpan(instance_counts_.span());
-    return Status::Ok();
-  }
-  out->WriteVarint(num_triples_);
-  out->WriteVarint(num_vertices_);
-  out->WriteVarint(subjects_with_out_);
-  out->WriteVarint(objects_with_in_);
-  WriteDeltaVarints<TermId>(*out, predicates_.span());
-  WriteVarintCounts(out, triples_.span());
-  WriteVarintCounts(out, distinct_subjects_.span());
-  WriteVarintCounts(out, distinct_objects_.span());
-  WriteDeltaVarints<TermId>(*out, classes_.span());
-  WriteVarintCounts(out, instance_counts_.span());
+  out->WriteU64(num_triples_);
+  out->WriteU64(num_vertices_);
+  out->WriteU64(subjects_with_out_);
+  out->WriteU64(objects_with_in_);
+  out->WritePodSpan(predicates_.span());
+  out->WritePodSpan(triples_.span());
+  out->WritePodSpan(distinct_subjects_.span());
+  out->WritePodSpan(distinct_objects_.span());
+  out->WritePodSpan(classes_.span());
+  out->WritePodSpan(instance_counts_.span());
   return Status::Ok();
 }
 
-Status GraphStats::LoadBinary(BinaryReader* in, bool compressed) {
+Status GraphStats::LoadBinary(BinaryReader* in) {
   if (in == nullptr) return Status::InvalidArgument("null reader");
-  if (!compressed) {
-    GANSWER_RETURN_NOT_OK(in->ReadU64(&num_triples_));
-    GANSWER_RETURN_NOT_OK(in->ReadU64(&num_vertices_));
-    GANSWER_RETURN_NOT_OK(in->ReadU64(&subjects_with_out_));
-    GANSWER_RETURN_NOT_OK(in->ReadU64(&objects_with_in_));
-    GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&predicates_));
-    GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&triples_));
-    GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&distinct_subjects_));
-    GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&distinct_objects_));
-    GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&classes_));
-    GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&instance_counts_));
-    return Validate();
-  }
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&num_triples_));
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&num_vertices_));
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&subjects_with_out_));
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&objects_with_in_));
-  std::vector<TermId> predicates, classes;
-  std::vector<uint64_t> triples, distinct_subjects, distinct_objects,
-      instance_counts;
-  GANSWER_RETURN_NOT_OK(ReadDeltaVarints<TermId>(*in, &predicates));
-  GANSWER_RETURN_NOT_OK(ReadVarintCounts(in, &triples));
-  GANSWER_RETURN_NOT_OK(ReadVarintCounts(in, &distinct_subjects));
-  GANSWER_RETURN_NOT_OK(ReadVarintCounts(in, &distinct_objects));
-  GANSWER_RETURN_NOT_OK(ReadDeltaVarints<TermId>(*in, &classes));
-  GANSWER_RETURN_NOT_OK(ReadVarintCounts(in, &instance_counts));
-  predicates_.Assign(std::move(predicates));
-  triples_.Assign(std::move(triples));
-  distinct_subjects_.Assign(std::move(distinct_subjects));
-  distinct_objects_.Assign(std::move(distinct_objects));
-  classes_.Assign(std::move(classes));
-  instance_counts_.Assign(std::move(instance_counts));
+  GANSWER_RETURN_NOT_OK(in->ReadU64(&num_triples_));
+  GANSWER_RETURN_NOT_OK(in->ReadU64(&num_vertices_));
+  GANSWER_RETURN_NOT_OK(in->ReadU64(&subjects_with_out_));
+  GANSWER_RETURN_NOT_OK(in->ReadU64(&objects_with_in_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&predicates_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&triples_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&distinct_subjects_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&distinct_objects_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&classes_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&instance_counts_));
   return Validate();
 }
 

@@ -20,9 +20,8 @@ namespace rdf {
 /// (what an `?x rdf:type <C>` pattern actually yields). Global: average
 /// out/in fan-out over vertices that have edges at all. Everything is a
 /// plain sorted column, so lookups are binary searches and the whole object
-/// round-trips through the snapshot as POD vectors — zero-copy over an
-/// mmap-ed raw section, delta-varint coded in a compressed one (the key
-/// columns are ascending, the count columns are small integers).
+/// round-trips through the snapshot as POD vectors, zero-copy over an
+/// mmap-ed section.
 ///
 /// Statistics only steer *ordering* decisions, never filtering: a planner
 /// consulting a stale or empty GraphStats still returns exact results, just
@@ -62,10 +61,10 @@ class GraphStats {
   /// Expected |{s : <s, p, o>}| for an object that \p p points at.
   double AvgSubjectsPerObject(TermId p) const;
 
-  Status SaveBinary(BinaryWriter* out, bool compressed = false) const;
+  Status SaveBinary(BinaryWriter* out) const;
   /// Replaces the contents with previously saved statistics; validates that
   /// the key arrays are sorted and the column lengths agree.
-  Status LoadBinary(BinaryReader* in, bool compressed = false);
+  Status LoadBinary(BinaryReader* in);
 
   /// Heap / mapped bytes pinned by the columns (snapshot accounting).
   size_t heap_bytes() const;

@@ -26,61 +26,6 @@ Status ValidateOffsets(const PodColumn<uint64_t>& offsets, size_t num_vertices,
   return Status::Ok();
 }
 
-// Compressed adjacency: within a vertex the run is sorted by (predicate,
-// neighbor), so predicates are delta-coded; neighbors restart absolute on
-// every predicate change (and on the first edge of the vertex, where a
-// predicate delta of 0 is legitimate — rdf:type is TermId 0) and are
-// strictly-increasing deltas within a (vertex, predicate) group.
-void EncodeEdgeRuns(BinaryWriter* out, const PodColumn<Edge>& edges,
-                    const PodColumn<uint64_t>& offsets) {
-  for (size_t v = 0; v + 1 < offsets.size(); ++v) {
-    TermId prev_p = 0;
-    TermId prev_n = 0;
-    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      const Edge& e = edges[i];
-      uint64_t dp = static_cast<uint64_t>(e.predicate) - prev_p;
-      out->WriteVarint(dp);
-      if (i == offsets[v] || dp != 0) {
-        out->WriteVarint(e.neighbor);
-      } else {
-        out->WriteVarint(static_cast<uint64_t>(e.neighbor) - prev_n);
-      }
-      prev_p = e.predicate;
-      prev_n = e.neighbor;
-    }
-  }
-}
-
-Status DecodeEdgeRuns(BinaryReader* in, const std::vector<uint64_t>& offsets,
-                      std::vector<Edge>* edges) {
-  uint64_t total = offsets.empty() ? 0 : offsets.back();
-  if (total > in->remaining()) {
-    // Every encoded edge costs at least two bytes; one is already a safe
-    // lower bound to reject absurd counts before allocating.
-    return Status::Corruption("edge run count exceeds remaining bytes");
-  }
-  edges->clear();
-  edges->reserve(total);
-  for (size_t v = 0; v + 1 < offsets.size(); ++v) {
-    uint64_t prev_p = 0;
-    uint64_t prev_n = 0;
-    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      uint64_t dp = 0, nv = 0;
-      GANSWER_RETURN_NOT_OK(in->ReadVarint(&dp));
-      GANSWER_RETURN_NOT_OK(in->ReadVarint(&nv));
-      uint64_t p = prev_p + dp;
-      uint64_t n = (i == offsets[v] || dp != 0) ? nv : prev_n + nv;
-      if (p > kInvalidTerm - 1 || n > kInvalidTerm - 1) {
-        return Status::Corruption("edge run term id overflow");
-      }
-      edges->push_back({static_cast<TermId>(p), static_cast<TermId>(n)});
-      prev_p = p;
-      prev_n = n;
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 RdfGraph::RdfGraph() {
@@ -378,7 +323,7 @@ size_t RdfGraph::view_bytes() const {
          predicates_.view_bytes() + predicate_freq_.view_bytes();
 }
 
-Status RdfGraph::SaveBinary(BinaryWriter* out, bool compressed) const {
+Status RdfGraph::SaveBinary(BinaryWriter* out) const {
   if (!finalized_) {
     return Status::InvalidArgument("SaveBinary requires a finalized graph");
   }
@@ -386,41 +331,23 @@ Status RdfGraph::SaveBinary(BinaryWriter* out, bool compressed) const {
     return Status::InvalidArgument(
         "overlay graphs are not serializable; compact to a flat graph first");
   }
-  if (!compressed) {
-    dict_.SaveBinary(out);
-    out->WriteU64(num_triples_);
-    out->WriteU64(max_degree_);
-    out->WriteU32(type_pred_);
-    out->WriteU32(subclass_pred_);
-    out->WriteU32(label_pred_);
-    out->WritePodSpan(out_edges_.span());
-    out->WritePodSpan(out_offsets_.span());
-    out->WritePodSpan(in_edges_.span());
-    out->WritePodSpan(in_offsets_.span());
-    out->WriteBoolVector(is_class_);
-    out->WritePodSpan(predicates_.span());
-    out->WritePodSpan(predicate_freq_.span());
-    return Status::Ok();
-  }
-  dict_.SaveFrontCoded(out);
-  out->WriteVarint(num_triples_);
-  out->WriteVarint(max_degree_);
-  out->WriteVarint(type_pred_);
-  out->WriteVarint(subclass_pred_);
-  out->WriteVarint(label_pred_);
-  WriteDeltaVarints<uint64_t>(*out, out_offsets_.span());
-  EncodeEdgeRuns(out, out_edges_, out_offsets_);
-  WriteDeltaVarints<uint64_t>(*out, in_offsets_.span());
-  EncodeEdgeRuns(out, in_edges_, in_offsets_);
+  dict_.SaveBinary(out);
+  out->WriteU64(num_triples_);
+  out->WriteU64(max_degree_);
+  out->WriteU32(type_pred_);
+  out->WriteU32(subclass_pred_);
+  out->WriteU32(label_pred_);
+  out->WritePodSpan(out_edges_.span());
+  out->WritePodSpan(out_offsets_.span());
+  out->WritePodSpan(in_edges_.span());
+  out->WritePodSpan(in_offsets_.span());
   out->WriteBoolVector(is_class_);
-  WriteDeltaVarints<TermId>(*out, predicates_.span());
-  // Frequencies are not sorted; plain varints (they are small counts).
-  out->WriteVarint(predicate_freq_.size());
-  for (uint64_t f : predicate_freq_) out->WriteVarint(f);
+  out->WritePodSpan(predicates_.span());
+  out->WritePodSpan(predicate_freq_.span());
   return Status::Ok();
 }
 
-Status RdfGraph::ReadRaw(BinaryReader* in) {
+Status RdfGraph::LoadBinary(BinaryReader* in) {
   GANSWER_RETURN_NOT_OK(dict_.LoadBinary(in));
   uint64_t num_triples = 0, max_degree = 0;
   GANSWER_RETURN_NOT_OK(in->ReadU64(&num_triples));
@@ -437,61 +364,6 @@ Status RdfGraph::ReadRaw(BinaryReader* in) {
   GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&predicate_freq_));
   num_triples_ = num_triples;
   max_degree_ = max_degree;
-  return Status::Ok();
-}
-
-Status RdfGraph::ReadCompressed(BinaryReader* in) {
-  GANSWER_RETURN_NOT_OK(dict_.LoadFrontCoded(in));
-  uint64_t num_triples = 0, max_degree = 0;
-  uint64_t type_pred = 0, subclass_pred = 0, label_pred = 0;
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&num_triples));
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&max_degree));
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&type_pred));
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&subclass_pred));
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&label_pred));
-  if (type_pred >= kInvalidTerm || subclass_pred >= kInvalidTerm ||
-      label_pred >= kInvalidTerm) {
-    return Status::Corruption("well-known predicate id overflow");
-  }
-  type_pred_ = static_cast<TermId>(type_pred);
-  subclass_pred_ = static_cast<TermId>(subclass_pred);
-  label_pred_ = static_cast<TermId>(label_pred);
-
-  std::vector<uint64_t> out_offsets, in_offsets;
-  std::vector<Edge> out_edges, in_edges;
-  GANSWER_RETURN_NOT_OK(ReadDeltaVarints<uint64_t>(*in, &out_offsets));
-  GANSWER_RETURN_NOT_OK(DecodeEdgeRuns(in, out_offsets, &out_edges));
-  GANSWER_RETURN_NOT_OK(ReadDeltaVarints<uint64_t>(*in, &in_offsets));
-  GANSWER_RETURN_NOT_OK(DecodeEdgeRuns(in, in_offsets, &in_edges));
-  GANSWER_RETURN_NOT_OK(in->ReadBoolVector(&is_class_));
-  std::vector<TermId> predicates;
-  GANSWER_RETURN_NOT_OK(ReadDeltaVarints<TermId>(*in, &predicates));
-  uint64_t freq_count = 0;
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&freq_count));
-  if (freq_count > in->remaining()) {
-    return Status::Corruption("frequency count exceeds remaining bytes");
-  }
-  std::vector<uint64_t> predicate_freq;
-  predicate_freq.reserve(freq_count);
-  for (uint64_t i = 0; i < freq_count; ++i) {
-    uint64_t f = 0;
-    GANSWER_RETURN_NOT_OK(in->ReadVarint(&f));
-    predicate_freq.push_back(f);
-  }
-
-  out_edges_.Assign(std::move(out_edges));
-  out_offsets_.Assign(std::move(out_offsets));
-  in_edges_.Assign(std::move(in_edges));
-  in_offsets_.Assign(std::move(in_offsets));
-  predicates_.Assign(std::move(predicates));
-  predicate_freq_.Assign(std::move(predicate_freq));
-  num_triples_ = num_triples;
-  max_degree_ = max_degree;
-  return Status::Ok();
-}
-
-Status RdfGraph::LoadBinary(BinaryReader* in, bool compressed) {
-  GANSWER_RETURN_NOT_OK(compressed ? ReadCompressed(in) : ReadRaw(in));
   return ValidateLoaded();
 }
 
@@ -512,9 +384,11 @@ Status RdfGraph::ValidateLoaded() {
       in_offsets_.size() != out_offsets_.size()) {
     return Status::Corruption("graph auxiliary array sizes inconsistent");
   }
-  for (const Edge& e : out_edges_) {
-    if (e.predicate >= n || e.neighbor >= n) {
-      return Status::Corruption("graph edge references unknown vertex");
+  for (const PodColumn<Edge>* edges : {&out_edges_, &in_edges_}) {
+    for (const Edge& e : *edges) {
+      if (e.predicate >= n || e.neighbor >= n) {
+        return Status::Corruption("graph edge references unknown vertex");
+      }
     }
   }
   for (TermId p : predicates_) {

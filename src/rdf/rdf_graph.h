@@ -214,19 +214,16 @@ class RdfGraph {
   /// Snapshot serialization of a finalized graph: the term dictionary plus
   /// the flat CSR arrays and class bitmap, so loading restores a servable
   /// graph with bulk reads — no re-interning, no re-sorting, no Finalize().
-  /// With \p compressed the CSR columns are delta-varint coded (neighbor
-  /// deltas within each sorted per-vertex run) and the dictionary is
-  /// front-coded — several times smaller on disk, decoded on load.
-  Status SaveBinary(BinaryWriter* out, bool compressed = false) const;
+  /// Every column is a raw pod array, so a mapped snapshot serves it in
+  /// place.
+  Status SaveBinary(BinaryWriter* out) const;
   /// Replaces the contents with a previously saved graph; the loaded graph
   /// is immediately finalized. Structural invariants (offset monotonicity,
-  /// edge bounds) are validated so a corrupt payload is rejected. A raw
-  /// payload read through a view-allowing reader stays zero-copy.
-  Status LoadBinary(BinaryReader* in, bool compressed = false);
+  /// edge bounds) are validated so a corrupt payload is rejected. A payload
+  /// read through a view-allowing reader stays zero-copy.
+  Status LoadBinary(BinaryReader* in);
 
  private:
-  Status ReadRaw(BinaryReader* in);
-  Status ReadCompressed(BinaryReader* in);
   Status ValidateLoaded();
 
   TermDictionary dict_;

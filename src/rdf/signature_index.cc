@@ -1,60 +1,9 @@
 #include "rdf/signature_index.h"
 
-#include <bit>
-
 #include "common/binary_io.h"
 
 namespace ganswer {
 namespace rdf {
-
-namespace {
-
-// Compressed signature column: varint vertex count, then per vertex a
-// popcount byte followed by the set bit positions in ascending order. A
-// typical vertex touches a handful of predicates, so this is 1-4 bytes per
-// signature against 8 raw; an empty signature costs one byte.
-void EncodeSignatures(BinaryWriter* out,
-                      std::span<const SignatureIndex::Signature> sigs) {
-  out->WriteVarint(sigs.size());
-  for (uint64_t sig : sigs) {
-    out->WriteU8(static_cast<uint8_t>(std::popcount(sig)));
-    while (sig != 0) {
-      out->WriteU8(static_cast<uint8_t>(std::countr_zero(sig)));
-      sig &= sig - 1;  // clear lowest set bit
-    }
-  }
-}
-
-Status DecodeSignatures(BinaryReader* in,
-                        std::vector<SignatureIndex::Signature>* out) {
-  uint64_t count = 0;
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&count));
-  if (count > in->remaining()) {
-    return Status::Corruption("signature count exceeds remaining bytes");
-  }
-  out->clear();
-  out->reserve(count);
-  for (uint64_t v = 0; v < count; ++v) {
-    uint8_t bits = 0;
-    GANSWER_RETURN_NOT_OK(in->ReadU8(&bits));
-    if (bits > 64) {
-      return Status::Corruption("signature popcount exceeds width");
-    }
-    uint64_t sig = 0;
-    for (uint8_t i = 0; i < bits; ++i) {
-      uint8_t pos = 0;
-      GANSWER_RETURN_NOT_OK(in->ReadU8(&pos));
-      if (pos >= 64) {
-        return Status::Corruption("signature bit position exceeds width");
-      }
-      sig |= uint64_t{1} << pos;
-    }
-    out->push_back(sig);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 SignatureIndex::SignatureIndex(const RdfGraph& graph) {
   size_t n = graph.dict().size();
@@ -97,29 +46,15 @@ SignatureIndex::Signature SignatureIndex::PredicateBit(TermId p) {
   return Signature{1} << (h >> 58);
 }
 
-void SignatureIndex::SaveBinary(BinaryWriter* out, bool compressed) const {
-  if (!compressed) {
-    out->WritePodSpan(out_.span());
-    out->WritePodSpan(in_.span());
-    return;
-  }
-  EncodeSignatures(out, out_.span());
-  EncodeSignatures(out, in_.span());
+void SignatureIndex::SaveBinary(BinaryWriter* out) const {
+  out->WritePodSpan(out_.span());
+  out->WritePodSpan(in_.span());
 }
 
-StatusOr<SignatureIndex> SignatureIndex::LoadBinary(BinaryReader* in,
-                                                    bool compressed) {
+StatusOr<SignatureIndex> SignatureIndex::LoadBinary(BinaryReader* in) {
   SignatureIndex index;
-  if (!compressed) {
-    GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&index.out_));
-    GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&index.in_));
-  } else {
-    std::vector<Signature> out_sigs, in_sigs;
-    GANSWER_RETURN_NOT_OK(DecodeSignatures(in, &out_sigs));
-    GANSWER_RETURN_NOT_OK(DecodeSignatures(in, &in_sigs));
-    index.out_.Assign(std::move(out_sigs));
-    index.in_.Assign(std::move(in_sigs));
-  }
+  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&index.out_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&index.in_));
   if (index.out_.size() != index.in_.size()) {
     return Status::Corruption("signature arrays differ in length");
   }

@@ -78,14 +78,11 @@ class SignatureIndex {
   size_t view_bytes() const { return out_.view_bytes() + in_.view_bytes(); }
 
   /// Snapshot serialization: the two per-vertex signature arrays as-is
-  /// (zero-copy over an mmap-ed raw section), or — compressed — each
-  /// signature as a popcount byte plus its set bit positions, since most
-  /// vertices touch only a handful of predicates.
-  void SaveBinary(BinaryWriter* out, bool compressed = false) const;
+  /// (zero-copy over an mmap-ed section).
+  void SaveBinary(BinaryWriter* out) const;
   /// Restores an index previously saved with SaveBinary, skipping the
   /// per-edge rebuild of the graph constructor.
-  static StatusOr<SignatureIndex> LoadBinary(BinaryReader* in,
-                                             bool compressed = false);
+  static StatusOr<SignatureIndex> LoadBinary(BinaryReader* in);
 
  private:
   SignatureIndex() = default;  // empty shell for LoadBinary / BuildOverlay

@@ -1,7 +1,5 @@
 #include "rdf/term_dictionary.h"
 
-#include <algorithm>
-
 #include "common/binary_io.h"
 
 namespace ganswer {
@@ -85,8 +83,9 @@ Status TermDictionary::RebuildIndex() {
     return Status::Corruption("term dictionary arena/offset mismatch");
   }
   size_t n = kinds_.size();
-  index_.clear();
-  index_.reserve(n);
+  // The whole column is validated before the first text() read: monotone
+  // offsets between 0 and back() == arena size keep every term inside the
+  // arena, while one offset past it would otherwise be read through.
   for (size_t i = 0; i < n; ++i) {
     if (offsets_[i] > offsets_[i + 1]) {
       return Status::Corruption("term dictionary offsets not monotone");
@@ -94,6 +93,10 @@ Status TermDictionary::RebuildIndex() {
     if (kinds_[i] > static_cast<uint8_t>(TermKind::kLiteral)) {
       return Status::Corruption("term dictionary bad term kind");
     }
+  }
+  index_.clear();
+  index_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
     std::string_view t = text(static_cast<TermId>(i));
     auto [it, inserted] = index_.emplace(
         IndexKey(t, static_cast<TermKind>(kinds_[i])), static_cast<TermId>(i));
@@ -103,98 +106,6 @@ Status TermDictionary::RebuildIndex() {
     }
   }
   return Status::Ok();
-}
-
-void TermDictionary::SaveFrontCoded(BinaryWriter* out) const {
-  size_t n = size();
-  out->WriteVarint(n);
-  std::vector<bool> literal(n);
-  for (size_t i = 0; i < n; ++i) {
-    literal[i] = kinds_[i] == static_cast<uint8_t>(TermKind::kLiteral);
-  }
-  out->WriteBoolVector(literal);
-
-  // Blocks are encoded into a scratch writer first so the sparse directory
-  // of block offsets can precede the blob (the directory is tiny: one entry
-  // per kFrontCodingBlock terms).
-  BinaryWriter blob;
-  std::vector<uint64_t> directory;
-  for (size_t i = 0; i < n; ++i) {
-    std::string_view cur = text(static_cast<TermId>(i));
-    if (i % kFrontCodingBlock == 0) {
-      directory.push_back(blob.size());
-      blob.WriteString(cur);
-      continue;
-    }
-    std::string_view prev = text(static_cast<TermId>(i - 1));
-    size_t max_lcp = std::min(cur.size(), prev.size());
-    size_t lcp = 0;
-    while (lcp < max_lcp && cur[lcp] == prev[lcp]) ++lcp;
-    blob.WriteVarint(lcp);
-    blob.WriteString(cur.substr(lcp));
-  }
-  WriteDeltaVarints<uint64_t>(*out, directory);
-  out->WriteString(blob.buffer());
-}
-
-Status TermDictionary::LoadFrontCoded(BinaryReader* in) {
-  uint64_t n = 0;
-  GANSWER_RETURN_NOT_OK(in->ReadVarint(&n));
-  std::vector<bool> literal;
-  GANSWER_RETURN_NOT_OK(in->ReadBoolVector(&literal));
-  if (literal.size() != n) {
-    return Status::Corruption("front-coded dictionary kind bitmap mismatch");
-  }
-  std::vector<uint64_t> directory;
-  GANSWER_RETURN_NOT_OK(ReadDeltaVarints<uint64_t>(*in, &directory));
-  std::string_view blob_bytes;
-  GANSWER_RETURN_NOT_OK(in->ReadStringView(&blob_bytes));
-  size_t expected_blocks = (n + kFrontCodingBlock - 1) / kFrontCodingBlock;
-  if (directory.size() != expected_blocks) {
-    return Status::Corruption("front-coded dictionary directory mismatch");
-  }
-
-  std::vector<char> arena;
-  std::vector<uint64_t> offsets;
-  offsets.reserve(n + 1);
-  offsets.push_back(0);
-  std::vector<uint8_t> kinds;
-  kinds.reserve(n);
-  BinaryReader blob(blob_bytes);
-  std::string prev;
-  for (uint64_t i = 0; i < n; ++i) {
-    if (i % kFrontCodingBlock == 0) {
-      // The directory pins each block's start; a decoder that drifted off
-      // (or a doctored directory) is corruption, and the check is what
-      // makes the directory trustworthy for O(block) random access.
-      if (blob_bytes.size() - blob.remaining() !=
-          directory[i / kFrontCodingBlock]) {
-        return Status::Corruption("front-coded block directory out of sync");
-      }
-      GANSWER_RETURN_NOT_OK(blob.ReadString(&prev));
-    } else {
-      uint64_t lcp = 0;
-      GANSWER_RETURN_NOT_OK(blob.ReadVarint(&lcp));
-      if (lcp > prev.size()) {
-        return Status::Corruption("front-coded prefix longer than base term");
-      }
-      std::string_view suffix;
-      GANSWER_RETURN_NOT_OK(blob.ReadStringView(&suffix));
-      prev.resize(lcp);
-      prev.append(suffix);
-    }
-    arena.insert(arena.end(), prev.begin(), prev.end());
-    offsets.push_back(arena.size());
-    kinds.push_back(static_cast<uint8_t>(literal[i] ? TermKind::kLiteral
-                                                    : TermKind::kIri));
-  }
-  if (!blob.AtEnd()) {
-    return Status::Corruption("front-coded dictionary trailing bytes");
-  }
-  arena_.Assign(std::move(arena));
-  offsets_.Assign(std::move(offsets));
-  kinds_.Assign(std::move(kinds));
-  return RebuildIndex();
 }
 
 std::optional<TermId> TermDictionary::LookupAny(std::string_view text) const {

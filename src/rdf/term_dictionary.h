@@ -120,17 +120,6 @@ class TermDictionary {
   /// zero-copy over the input bytes.
   Status LoadBinary(BinaryReader* in);
 
-  /// Front-coded serialization for compressed snapshot sections: terms are
-  /// grouped into blocks of kFrontCodingBlock; each block stores its first
-  /// term in full and every following term as (shared-prefix length, suffix)
-  /// — consecutive term texts share long prefixes because IRIs interned from
-  /// the same namespace sort near each other in id order. A delta-varint
-  /// directory of block offsets gives O(block) random access to the blob.
-  void SaveFrontCoded(BinaryWriter* out) const;
-  Status LoadFrontCoded(BinaryReader* in);
-
-  static constexpr size_t kFrontCodingBlock = 16;
-
  private:
   Status RebuildIndex();
 

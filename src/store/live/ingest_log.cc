@@ -42,7 +42,7 @@ Status DecodeRecordPayload(std::string_view payload, LogRecord* out) {
   BinaryReader r(payload);
   GANSWER_RETURN_NOT_OK(r.ReadU64(&out->epoch));
   uint64_t count = 0;
-  GANSWER_RETURN_NOT_OK(r.ReadVarint(&count));
+  GANSWER_RETURN_NOT_OK(r.ReadCount(&count));
   out->ops.clear();
   out->ops.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

@@ -33,12 +33,12 @@ Status EnsureDir(const std::string& dir) {
   return Status::IoError("mkdir " + dir + ": " + std::strerror(errno));
 }
 
-// Creates (or truncates) an empty file durably — the fresh WAL a compaction
-// or bootstrap installs before the manifest starts pointing at it.
-Status CreateEmptyFile(const std::string& path) {
-  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+// Opens \p path with \p flags and fsyncs it. The parent directory entry is
+// made durable later, by the manifest swap's directory fsync.
+Status OpenAndSync(const std::string& path, int flags) {
+  int fd = ::open(path.c_str(), flags, 0644);
   if (fd < 0) {
-    return Status::IoError("create " + path + ": " + std::strerror(errno));
+    return Status::IoError("open " + path + ": " + std::strerror(errno));
   }
   int rc = ::fsync(fd);
   ::close(fd);
@@ -46,6 +46,12 @@ Status CreateEmptyFile(const std::string& path) {
     return Status::IoError("fsync " + path + ": " + std::strerror(errno));
   }
   return Status::Ok();
+}
+
+// Creates (or truncates) an empty file durably — the fresh WAL a compaction
+// or bootstrap installs before the manifest starts pointing at it.
+Status CreateEmptyFile(const std::string& path) {
+  return OpenAndSync(path, O_WRONLY | O_CREAT | O_TRUNC);
 }
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
@@ -355,6 +361,9 @@ Status LiveKb::CompactLocked() {
   std::string wal_path = options_.dir + "/wal-" + suffix + ".log";
   GANSWER_RETURN_NOT_OK(
       WriteSnapshotFile(flat, *base_->dictionary, snap_path));
+  // The manifest must never name a snapshot whose bytes are not yet on
+  // disk: the swap below also retires the WAL holding the acked batches.
+  GANSWER_RETURN_NOT_OK(OpenAndSync(snap_path, O_RDONLY));
   GANSWER_RETURN_NOT_OK(CreateEmptyFile(wal_path));
   auto base = ReadBase(snap_path);
   if (!base.ok()) return base.status();

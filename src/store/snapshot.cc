@@ -15,7 +15,8 @@ namespace {
 // Layout:
 //   magic(8) | byte-order mark u32 | version u32 | section count u32
 //   section table, one entry per section:
-//     { id u32, encoding u32, offset u64, size u64, crc32 u32 }
+//     { id u32, encoding u32 (always 0, raw), offset u64, size u64,
+//       crc32 u32 }
 //   section payloads (offsets are absolute, payloads contiguous and start
 //   on 8-byte boundaries so raw pod arrays are mappable in place)
 // The fingerprint is the CRC32 of the section table, i.e. of all section
@@ -33,7 +34,6 @@ enum SectionId : uint32_t {
 
 struct SectionEntry {
   uint32_t id = 0;
-  SectionEncoding encoding = SectionEncoding::kRaw;
   uint64_t offset = 0;
   uint64_t size = 0;
   uint32_t crc = 0;
@@ -50,8 +50,7 @@ Status WriteSnapshot(const rdf::RdfGraph& graph,
                      const rdf::SignatureIndex& signatures,
                      const linking::EntityIndex& entity_index,
                      const paraphrase::ParaphraseDictionary& dict,
-                     std::string* out, SnapshotStats* stats,
-                     const SnapshotWriteOptions& options) {
+                     std::string* out, SnapshotStats* stats) {
   if (out == nullptr) return Status::InvalidArgument("null output");
   if (!graph.finalized()) {
     return Status::InvalidArgument("snapshot requires a finalized graph");
@@ -77,13 +76,13 @@ Status WriteSnapshot(const rdf::RdfGraph& graph,
     w.AlignTo(8);
     return w.size();
   };
-  auto end_section = [&](uint32_t id, SectionEncoding encoding,
-                         size_t offset) {
+  auto end_section = [&](uint32_t id, size_t offset) {
     size_t size = w.size() - offset;
     uint32_t crc = Crc32(w.buffer().data() + offset, size);
     size_t at = table_start + section_index * kTableEntrySize;
     w.PatchU32(at, id);
-    w.PatchU32(at + sizeof(uint32_t), static_cast<uint32_t>(encoding));
+    w.PatchU32(at + sizeof(uint32_t),
+               static_cast<uint32_t>(SectionEncoding::kRaw));
     at += 2 * sizeof(uint32_t);
     w.PatchU64(at, offset);
     w.PatchU64(at + sizeof(uint64_t), size);
@@ -91,37 +90,33 @@ Status WriteSnapshot(const rdf::RdfGraph& graph,
     section_sizes[section_index] = size;
     ++section_index;
   };
-  SectionEncoding packed = options.compress ? SectionEncoding::kCompressed
-                                            : SectionEncoding::kRaw;
-
   {
     size_t offset = begin_section();
-    GANSWER_RETURN_NOT_OK(graph.SaveBinary(&w, options.compress));
-    end_section(kGraphSection, packed, offset);
+    GANSWER_RETURN_NOT_OK(graph.SaveBinary(&w));
+    end_section(kGraphSection, offset);
   }
   {
     size_t offset = begin_section();
-    signatures.SaveBinary(&w, options.compress);
-    end_section(kSignatureSection, packed, offset);
+    signatures.SaveBinary(&w);
+    end_section(kSignatureSection, offset);
   }
   {
     size_t offset = begin_section();
-    entity_index.SaveBinary(&w, options.compress);
-    end_section(kEntityIndexSection, packed, offset);
+    entity_index.SaveBinary(&w);
+    end_section(kEntityIndexSection, offset);
   }
   {
     size_t offset = begin_section();
     dict.SaveBinary(&w);
-    end_section(kDictionarySection, SectionEncoding::kRaw, offset);
+    end_section(kDictionarySection, offset);
   }
   {
     // Statistics are a deterministic O(V + E) function of the graph, so the
     // writer always recomputes them rather than taking them as input —
     // a snapshot can never carry statistics from a different graph.
     size_t offset = begin_section();
-    GANSWER_RETURN_NOT_OK(
-        rdf::GraphStats::Compute(graph).SaveBinary(&w, options.compress));
-    end_section(kStatsSection, packed, offset);
+    GANSWER_RETURN_NOT_OK(rdf::GraphStats::Compute(graph).SaveBinary(&w));
+    end_section(kStatsSection, offset);
   }
 
   uint64_t fingerprint =
@@ -142,23 +137,20 @@ Status WriteSnapshot(const rdf::RdfGraph& graph,
 
 Status WriteSnapshot(const rdf::RdfGraph& graph,
                      const paraphrase::ParaphraseDictionary& dict,
-                     std::string* out, SnapshotStats* stats,
-                     const SnapshotWriteOptions& options) {
+                     std::string* out, SnapshotStats* stats) {
   if (!graph.finalized()) {
     return Status::InvalidArgument("snapshot requires a finalized graph");
   }
   rdf::SignatureIndex signatures(graph);
   linking::EntityIndex entity_index(graph);
-  return WriteSnapshot(graph, signatures, entity_index, dict, out, stats,
-                       options);
+  return WriteSnapshot(graph, signatures, entity_index, dict, out, stats);
 }
 
 Status WriteSnapshotFile(const rdf::RdfGraph& graph,
                          const paraphrase::ParaphraseDictionary& dict,
-                         const std::string& path, SnapshotStats* stats,
-                         const SnapshotWriteOptions& options) {
+                         const std::string& path, SnapshotStats* stats) {
   std::string bytes;
-  GANSWER_RETURN_NOT_OK(WriteSnapshot(graph, dict, &bytes, stats, options));
+  GANSWER_RETURN_NOT_OK(WriteSnapshot(graph, dict, &bytes, stats));
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open '" + path + "' for writing");
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -211,18 +203,18 @@ StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
     GANSWER_RETURN_NOT_OK(header.ReadU32(&entry.id));
     uint32_t encoding = 0;
     GANSWER_RETURN_NOT_OK(header.ReadU32(&encoding));
-    if (encoding > static_cast<uint32_t>(SectionEncoding::kCompressed)) {
-      return Status::Corruption("snapshot section has unknown encoding " +
-                                std::to_string(encoding));
+    if (encoding != static_cast<uint32_t>(SectionEncoding::kRaw)) {
+      return Status::Corruption(
+          "snapshot section " + std::to_string(entry.id) + " has encoding " +
+          std::to_string(encoding) +
+          "; this binary reads raw sections only; rebuild the snapshot");
     }
-    entry.encoding = static_cast<SectionEncoding>(encoding);
     GANSWER_RETURN_NOT_OK(header.ReadU64(&entry.offset));
     GANSWER_RETURN_NOT_OK(header.ReadU64(&entry.size));
     GANSWER_RETURN_NOT_OK(header.ReadU32(&entry.crc));
   }
 
-  auto find_section = [&](uint32_t id, std::string_view* payload,
-                          SectionEncoding* encoding) -> Status {
+  auto find_section = [&](uint32_t id, std::string_view* payload) -> Status {
     for (const SectionEntry& entry : table) {
       if (entry.id != id) continue;
       if (entry.offset > bytes.size() ||
@@ -239,19 +231,15 @@ StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
         return Status::Corruption("snapshot section " + std::to_string(id) +
                                   " checksum mismatch");
       }
-      *encoding = entry.encoding;
       return Status::Ok();
     }
     return Status::Corruption("snapshot section " + std::to_string(id) +
                               " missing");
   };
-  auto section_reader = [&](std::string_view payload,
-                            SectionEncoding encoding) {
+  auto section_reader = [&](std::string_view payload) {
     BinaryReader r(payload);
     r.set_aligned(true);
-    // Views only make sense for raw payloads out of a pinned mapping;
-    // compressed sections decode into heap buffers regardless.
-    r.set_views_allowed(views_allowed && encoding == SectionEncoding::kRaw);
+    r.set_views_allowed(views_allowed);
     return r;
   };
 
@@ -259,20 +247,17 @@ StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
   snapshot.fingerprint = fingerprint;
 
   std::string_view payload;
-  SectionEncoding encoding = SectionEncoding::kRaw;
-  GANSWER_RETURN_NOT_OK(find_section(kGraphSection, &payload, &encoding));
+  GANSWER_RETURN_NOT_OK(find_section(kGraphSection, &payload));
   snapshot.graph = std::make_unique<rdf::RdfGraph>();
   {
-    BinaryReader r = section_reader(payload, encoding);
-    GANSWER_RETURN_NOT_OK(snapshot.graph->LoadBinary(
-        &r, encoding == SectionEncoding::kCompressed));
+    BinaryReader r = section_reader(payload);
+    GANSWER_RETURN_NOT_OK(snapshot.graph->LoadBinary(&r));
   }
 
-  GANSWER_RETURN_NOT_OK(find_section(kSignatureSection, &payload, &encoding));
+  GANSWER_RETURN_NOT_OK(find_section(kSignatureSection, &payload));
   {
-    BinaryReader r = section_reader(payload, encoding);
-    auto signatures = rdf::SignatureIndex::LoadBinary(
-        &r, encoding == SectionEncoding::kCompressed);
+    BinaryReader r = section_reader(payload);
+    auto signatures = rdf::SignatureIndex::LoadBinary(&r);
     if (!signatures.ok()) return signatures.status();
     if (signatures->NumVertices() != snapshot.graph->dict().size()) {
       return Status::Corruption("signature index size does not match graph");
@@ -281,31 +266,28 @@ StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
         std::make_unique<rdf::SignatureIndex>(std::move(signatures).value());
   }
 
-  GANSWER_RETURN_NOT_OK(
-      find_section(kEntityIndexSection, &payload, &encoding));
+  GANSWER_RETURN_NOT_OK(find_section(kEntityIndexSection, &payload));
   {
-    BinaryReader r = section_reader(payload, encoding);
-    auto index = linking::EntityIndex::LoadBinary(
-        *snapshot.graph, &r, encoding == SectionEncoding::kCompressed);
+    BinaryReader r = section_reader(payload);
+    auto index = linking::EntityIndex::LoadBinary(*snapshot.graph, &r);
     if (!index.ok()) return index.status();
     snapshot.entity_index = std::move(index).value();
   }
 
-  GANSWER_RETURN_NOT_OK(find_section(kDictionarySection, &payload, &encoding));
+  GANSWER_RETURN_NOT_OK(find_section(kDictionarySection, &payload));
   snapshot.dictionary =
       std::make_unique<paraphrase::ParaphraseDictionary>(lexicon);
   {
-    BinaryReader r = section_reader(payload, encoding);
+    BinaryReader r = section_reader(payload);
     GANSWER_RETURN_NOT_OK(snapshot.dictionary->LoadBinary(
         &r, snapshot.graph->dict().size()));
   }
 
-  GANSWER_RETURN_NOT_OK(find_section(kStatsSection, &payload, &encoding));
+  GANSWER_RETURN_NOT_OK(find_section(kStatsSection, &payload));
   snapshot.stats = std::make_unique<rdf::GraphStats>();
   {
-    BinaryReader r = section_reader(payload, encoding);
-    GANSWER_RETURN_NOT_OK(snapshot.stats->LoadBinary(
-        &r, encoding == SectionEncoding::kCompressed));
+    BinaryReader r = section_reader(payload);
+    GANSWER_RETURN_NOT_OK(snapshot.stats->LoadBinary(&r));
   }
 
   return snapshot;

@@ -20,27 +20,19 @@ namespace store {
 
 /// Container format version. Bumped whenever a section's binary layout
 /// changes or a section is added. Version 2 added the graph-statistics
-/// section (rdf/graph_stats.h). Version 3 added per-section encoding flags
-/// (raw | compressed), 8-aligned section payloads and alignment-padded pod
-/// arrays, making raw sections directly mappable. Version 3 is the only
-/// format this binary writes or reads: older containers and versions newer
-/// than this binary's are rejected with a "rebuild the snapshot" status.
+/// section (rdf/graph_stats.h). Version 3 added a per-section encoding field,
+/// 8-aligned section payloads and alignment-padded pod arrays, making every
+/// section directly mappable. Version 3 is the only format this binary
+/// writes or reads: older containers and versions newer than this binary's
+/// are rejected with a "rebuild the snapshot" status.
 inline constexpr uint32_t kSnapshotVersion = 3;
 inline constexpr uint32_t kMinSupportedSnapshotVersion = 3;
 
-/// How a section's payload is encoded on disk. Raw sections are the pod
-/// layouts the in-memory structures use directly (zero-copy under mmap);
-/// compressed sections are delta-varint / front-coded and decode into heap
-/// buffers on load.
-enum class SectionEncoding : uint32_t { kRaw = 0, kCompressed = 1 };
-
-/// Writer knobs. \p compress stores the graph, signature, entity-index and
-/// stats sections delta/front-coded: several times smaller on disk, at the
-/// price of a decode pass (no zero-copy) on load. The paraphrase dictionary
-/// section stays raw in either mode.
-struct SnapshotWriteOptions {
-  bool compress = false;
-};
+/// The section table's encoding field. Raw sections are the pod layouts the
+/// in-memory structures use directly (zero-copy under mmap). Raw is the
+/// only encoding: the writer always stores it and the reader rejects any
+/// other value with a "rebuild the snapshot" status.
+enum class SectionEncoding : uint32_t { kRaw = 0 };
 
 /// How ReadSnapshotFile gets the bytes into memory. kRead slurps the file
 /// into an owned buffer and copies sections into heap structures. kMmap
@@ -100,28 +92,26 @@ Status WriteSnapshot(const rdf::RdfGraph& graph,
                      const rdf::SignatureIndex& signatures,
                      const linking::EntityIndex& entity_index,
                      const paraphrase::ParaphraseDictionary& dict,
-                     std::string* out, SnapshotStats* stats = nullptr,
-                     const SnapshotWriteOptions& options = {});
+                     std::string* out, SnapshotStats* stats = nullptr);
 
 /// Convenience for offline builders that only hold the graph and the mined
 /// dictionary: builds the SignatureIndex and EntityIndex (deterministic
 /// functions of the graph) and writes the full container.
 Status WriteSnapshot(const rdf::RdfGraph& graph,
                      const paraphrase::ParaphraseDictionary& dict,
-                     std::string* out, SnapshotStats* stats = nullptr,
-                     const SnapshotWriteOptions& options = {});
+                     std::string* out, SnapshotStats* stats = nullptr);
 
 Status WriteSnapshotFile(const rdf::RdfGraph& graph,
                          const paraphrase::ParaphraseDictionary& dict,
                          const std::string& path,
-                         SnapshotStats* stats = nullptr,
-                         const SnapshotWriteOptions& options = {});
+                         SnapshotStats* stats = nullptr);
 
 /// Reconstructs a Snapshot from container bytes. Rejects wrong magic,
-/// foreign byte order, version mismatches, malformed section tables and
-/// per-section CRC failures with Status::Corruption — a bad file can never
-/// produce a partially initialized bundle. \p lexicon backs the paraphrase
-/// dictionary and must outlive the returned bundle. The bytes are copied
+/// foreign byte order, version mismatches, malformed section tables,
+/// non-raw section encodings and per-section CRC failures with
+/// Status::Corruption — a bad file can never produce a partially
+/// initialized bundle. \p lexicon backs the paraphrase dictionary and must
+/// outlive the returned bundle. The bytes are copied
 /// into owned structures (zero-copy loading requires the file-backed
 /// ReadSnapshotFile with SnapshotLoadMode::kMmap, which can pin the bytes).
 StatusOr<Snapshot> ReadSnapshot(std::string_view bytes,

@@ -124,15 +124,42 @@ TEST(BinaryIoTest, TruncatedReadsFailWithCorruption) {
 }
 
 TEST(BinaryIoTest, CorruptCountIsRejectedBeforeAllocation) {
-  // A varint count far larger than the remaining bytes must not resize.
+  // A varint count far larger than the remaining bytes must not resize,
+  // including counts near 2^64 where rounding up to whole bytes wraps.
+  for (uint64_t count : {std::numeric_limits<uint64_t>::max() / 2,
+                         std::numeric_limits<uint64_t>::max()}) {
+    SCOPED_TRACE(count);
+    BinaryWriter w;
+    w.WriteVarint(count);
+    w.WriteZeros(16);
+    std::string bytes = w.Release();
+    {
+      BinaryReader r(bytes);
+      std::vector<uint64_t> out;
+      EXPECT_TRUE(r.ReadPodVector(&out).IsCorruption());
+      EXPECT_TRUE(out.empty());
+    }
+    {
+      BinaryReader r(bytes);
+      std::vector<bool> out;
+      EXPECT_TRUE(r.ReadBoolVector(&out).IsCorruption());
+      EXPECT_TRUE(out.empty());
+    }
+    {
+      BinaryReader r(bytes);
+      uint64_t read = 0;
+      EXPECT_TRUE(r.ReadCount(&read).IsCorruption());
+    }
+  }
+  // ReadCount accepts a count of at most the remaining bytes.
   BinaryWriter w;
-  w.WriteVarint(std::numeric_limits<uint64_t>::max() / 2);
+  w.WriteVarint(3);
+  w.WriteZeros(3);
   std::string bytes = w.Release();
   BinaryReader r(bytes);
-  std::vector<uint64_t> out;
-  Status st = r.ReadPodVector(&out);
-  EXPECT_FALSE(st.ok());
-  EXPECT_TRUE(out.empty());
+  uint64_t read = 0;
+  ASSERT_TRUE(r.ReadCount(&read).ok());
+  EXPECT_EQ(read, 3u);
 }
 
 TEST(BinaryIoTest, OverlongVarintIsRejected) {

@@ -27,8 +27,7 @@ namespace {
 
 struct SnapshotFixture {
   nlp::Lexicon lexicon;
-  std::string bytes;             // v3 raw (the default writer output)
-  std::string compressed_bytes;  // v3 with every compressible section packed
+  std::string bytes;  // v3, the writer's only output
 };
 
 const SnapshotFixture& Fixture() {
@@ -37,11 +36,6 @@ const SnapshotFixture& Fixture() {
     RandomGraphData data = BuildRandomGraph(1234);
     paraphrase::ParaphraseDictionary dict(&f->lexicon);
     if (!store::WriteSnapshot(data.graph, dict, &f->bytes).ok()) {
-      std::abort();
-    }
-    if (!store::WriteSnapshot(data.graph, dict, &f->compressed_bytes, nullptr,
-                              {.compress = true})
-             .ok()) {
       std::abort();
     }
     return f;
@@ -88,28 +82,6 @@ TEST(SnapshotFuzzTest, SurvivesMutatedSnapshots) {
     Rng rng(seed);
     DriveLoader(MutateN(Fixture().bytes, rng, 1 + rng.Next(6)));
   });
-}
-
-// The compressed sections route mutated bytes into the delta-varint and
-// front-coding decoders (when the mutation dodges the section CRC), which
-// must reject or survive like the raw path.
-TEST(SnapshotFuzzTest, SurvivesMutatedCompressedSnapshots) {
-  ForEachSeed(4250, 80, [](uint64_t seed) {
-    Rng rng(seed);
-    DriveLoader(MutateN(Fixture().compressed_bytes, rng, 1 + rng.Next(6)));
-  });
-}
-
-TEST(SnapshotFuzzTest, SurvivesEveryCompressedTruncation) {
-  const std::string& bytes = Fixture().compressed_bytes;
-  for (size_t n = 0; n < std::min<size_t>(bytes.size(), 64); ++n) {
-    auto snap = store::ReadSnapshot(bytes.substr(0, n), &Fixture().lexicon);
-    EXPECT_FALSE(snap.ok()) << "accepted a " << n << "-byte prefix";
-  }
-  for (size_t n = 64; n < bytes.size(); n += 89) {
-    auto snap = store::ReadSnapshot(bytes.substr(0, n), &Fixture().lexicon);
-    EXPECT_FALSE(snap.ok()) << "accepted a " << n << "-byte prefix";
-  }
 }
 
 // Mutations through the mmap loader: the zero-copy path must validate

@@ -61,8 +61,8 @@ TEST(SnapshotRoundTripTest, LoadedSystemAnswersByteIdentically) {
 }
 
 // Storage-tier variants of the same guarantee: whether the container is
-// raw or compressed, and whether it is bulk-read or mmapped, the loaded
-// system's answers are byte-identical to the from-scratch system's.
+// bulk-read or mmapped, the loaded system's answers are byte-identical to
+// the from-scratch system's.
 TEST(SnapshotRoundTripTest, EveryEncodingAndLoadModeAnswersIdentically) {
   const auto& world = ganswer::testing::World();
   qa::GAnswer from_scratch(&world.kb.graph, &world.lexicon,
@@ -70,29 +70,23 @@ TEST(SnapshotRoundTripTest, EveryEncodingAndLoadModeAnswersIdentically) {
 
   struct Mode {
     const char* name;
-    store::SnapshotWriteOptions write;
     store::SnapshotLoadMode load;
   };
   const Mode kModes[] = {
-      {"raw+read", {.compress = false}, store::SnapshotLoadMode::kRead},
-      {"raw+mmap", {.compress = false}, store::SnapshotLoadMode::kMmap},
-      {"compressed+read", {.compress = true}, store::SnapshotLoadMode::kRead},
-      {"compressed+mmap", {.compress = true}, store::SnapshotLoadMode::kMmap},
+      {"raw+read", store::SnapshotLoadMode::kRead},
+      {"raw+mmap", store::SnapshotLoadMode::kMmap},
   };
   for (const Mode& mode : kModes) {
     SCOPED_TRACE(mode.name);
-    std::string path = std::string("roundtrip_") +
-                       (mode.write.compress ? "c" : "r") +
+    std::string path = std::string("roundtrip_r") +
                        (mode.load == store::SnapshotLoadMode::kMmap ? "m"
                                                                     : "b") +
                        ".snap";
-    ASSERT_TRUE(store::WriteSnapshotFile(world.kb.graph, *world.verified,
-                                         path, nullptr, mode.write)
-                    .ok());
+    ASSERT_TRUE(
+        store::WriteSnapshotFile(world.kb.graph, *world.verified, path).ok());
     auto snapshot = store::ReadSnapshotFile(path, &world.lexicon, mode.load);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    if (mode.load == store::SnapshotLoadMode::kMmap &&
-        !mode.write.compress) {
+    if (mode.load == store::SnapshotLoadMode::kMmap) {
       EXPECT_GT(snapshot->column_mapped_bytes(), 0u);
     }
 

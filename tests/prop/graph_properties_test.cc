@@ -193,7 +193,7 @@ TEST(GraphPropertyTest, NtriplesRoundTripPreservesTriples) {
 }
 
 // Write -> ReadSnapshot must reproduce the exact term dictionary and
-// triple set, for raw and compressed containers alike.
+// triple set.
 TEST(GraphPropertyTest, SnapshotRoundTripPreservesTriples) {
   ForEachSeed(6300, 24, [](uint64_t seed) {
     Rng rng(seed);
@@ -207,9 +207,7 @@ TEST(GraphPropertyTest, SnapshotRoundTripPreservesTriples) {
     nlp::Lexicon lexicon;
     paraphrase::ParaphraseDictionary dict(&lexicon);
     std::string bytes;
-    ASSERT_TRUE(store::WriteSnapshot(data.graph, dict, &bytes, nullptr,
-                                     {.compress = (seed % 2) == 1})
-                    .ok());
+    ASSERT_TRUE(store::WriteSnapshot(data.graph, dict, &bytes).ok());
     auto snapshot = store::ReadSnapshot(bytes, &lexicon);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
     const rdf::RdfGraph& loaded = *snapshot->graph;

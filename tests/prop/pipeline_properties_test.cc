@@ -93,37 +93,6 @@ TEST(PipelinePropertyTest, SnapshotRoundTripDoesNotChangeAnswers) {
   });
 }
 
-// Same property through the storage tier's other end: a compressed
-// container loaded via mmap (compressed sections decode, raw sections view
-// the mapping) answers exactly like the direct system.
-TEST(PipelinePropertyTest, CompressedMmapSnapshotDoesNotChangeAnswers) {
-  ForEachSeed(5150, 3, [](uint64_t seed) {
-    std::unique_ptr<MiniWorld> w = BuildMiniWorld(seed);
-    qa::GAnswer direct(&w->kb.graph, &w->lexicon, w->dict.get());
-
-    std::string path =
-        "prop_snapshot_" + std::to_string(seed) + ".snap";
-    ASSERT_TRUE(store::WriteSnapshotFile(w->kb.graph, *w->dict, path,
-                                         nullptr, {.compress = true})
-                    .ok());
-    auto snap = store::ReadSnapshotFile(path, &w->lexicon,
-                                        store::SnapshotLoadMode::kMmap);
-    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-
-    qa::GAnswer::Options opt;
-    opt.matching.signatures = snap->signatures.get();
-    opt.entity_index = snap->entity_index.get();
-    opt.snapshot_identity = snap->fingerprint;
-    qa::GAnswer loaded(snap->graph.get(), &w->lexicon,
-                       snap->dictionary.get(), opt);
-
-    for (const std::string& q : Questions(*w, 10)) {
-      ExpectSameResponse(direct.Ask(q), loaded.Ask(q), q);
-    }
-    std::remove(path.c_str());
-  });
-}
-
 // Cache hits must serve byte-identical answers: ask twice with the cache on
 // (second call is a hit) and compare both against a cache-off system.
 TEST(PipelinePropertyTest, QuestionCacheDoesNotChangeAnswers) {

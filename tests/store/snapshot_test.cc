@@ -50,10 +50,9 @@ struct TestWorld {
 };
 
 std::string WriteTestSnapshot(const TestWorld& world,
-                              SnapshotStats* stats = nullptr,
-                              const SnapshotWriteOptions& options = {}) {
+                              SnapshotStats* stats = nullptr) {
   std::string bytes;
-  Status st = WriteSnapshot(world.graph, *world.dict, &bytes, stats, options);
+  Status st = WriteSnapshot(world.graph, *world.dict, &bytes, stats);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return bytes;
 }

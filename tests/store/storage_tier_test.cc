@@ -1,8 +1,7 @@
-// The v3 storage tier: every (encoding, load mode) combination must
-// reconstruct the same bundle, the compressed container must actually be
-// smaller, legacy v2 containers must be rejected, and corruption in the
-// compressed sections must be rejected — through the CRC and, when the CRC
-// is forged, through the decoders' own validation.
+// The v3 storage tier: both load modes must reconstruct the same bundle,
+// legacy v2 containers and non-raw section encodings must be rejected, and
+// corruption in any section must be rejected — through the CRC and, when
+// the CRC is forged, through the section loaders' own validation.
 
 #include <gtest/gtest.h>
 
@@ -48,26 +47,22 @@ TierWorld& World() {
   return *world;
 }
 
-std::string Write(const SnapshotWriteOptions& options,
-                  SnapshotStats* stats = nullptr) {
+std::string Write() {
   std::string bytes;
-  Status st = WriteSnapshot(World().data.graph, *World().dict, &bytes, stats,
-                            options);
+  Status st = WriteSnapshot(World().data.graph, *World().dict, &bytes);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return bytes;
 }
 
-std::string WriteToFile(const std::string& path,
-                        const SnapshotWriteOptions& options) {
-  std::string bytes = Write(options);
+std::string WriteToFile(const std::string& path) {
+  std::string bytes = Write();
   std::ofstream out(path, std::ios::binary);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return bytes;
 }
 
-// The strongest equality there is: re-serializing a loaded bundle (with
-// fixed writer options) must reproduce identical bytes whatever encoding or
-// load path produced it.
+// The strongest equality there is: re-serializing a loaded bundle must
+// reproduce identical bytes whatever load path produced it.
 std::string Reserialize(const Snapshot& snapshot) {
   std::string bytes;
   Status st = WriteSnapshot(*snapshot.graph, *snapshot.signatures,
@@ -78,64 +73,38 @@ std::string Reserialize(const Snapshot& snapshot) {
 }
 
 TEST(StorageTierTest, AllEncodingsAndLoadModesReconstructIdentically) {
-  std::string raw_path = "storage_tier_raw.snap";
-  std::string compressed_path = "storage_tier_compressed.snap";
-  WriteToFile(raw_path, {.compress = false});
-  WriteToFile(compressed_path, {.compress = true});
+  std::string path = "storage_tier_raw.snap";
+  std::string bytes = WriteToFile(path);
 
-  auto raw_read = ReadSnapshotFile(raw_path, &World().lexicon);
-  auto raw_mmap = ReadSnapshotFile(raw_path, &World().lexicon,
-                                   SnapshotLoadMode::kMmap);
-  auto compressed = ReadSnapshotFile(compressed_path, &World().lexicon);
-  auto compressed_mmap = ReadSnapshotFile(compressed_path, &World().lexicon,
-                                          SnapshotLoadMode::kMmap);
+  auto raw_read = ReadSnapshotFile(path, &World().lexicon);
+  auto raw_mmap =
+      ReadSnapshotFile(path, &World().lexicon, SnapshotLoadMode::kMmap);
   ASSERT_TRUE(raw_read.ok()) << raw_read.status().ToString();
   ASSERT_TRUE(raw_mmap.ok()) << raw_mmap.status().ToString();
-  ASSERT_TRUE(compressed.ok()) << compressed.status().ToString();
-  ASSERT_TRUE(compressed_mmap.ok()) << compressed_mmap.status().ToString();
 
-  std::string reference = Reserialize(*raw_read);
-  EXPECT_EQ(reference, Reserialize(*raw_mmap));
-  EXPECT_EQ(reference, Reserialize(*compressed));
-  EXPECT_EQ(reference, Reserialize(*compressed_mmap));
+  EXPECT_EQ(bytes, Reserialize(*raw_read));
+  EXPECT_EQ(bytes, Reserialize(*raw_mmap));
 
   // A mapped load actually serves columns out of the mapping; a bulk read
-  // or a compressed load does not.
+  // does not.
   EXPECT_NE(raw_mmap->mapping, nullptr);
   EXPECT_GT(raw_mmap->column_mapped_bytes(), 0u);
   EXPECT_LT(raw_mmap->column_heap_bytes(), raw_read->column_heap_bytes());
   EXPECT_EQ(raw_read->mapping, nullptr);
   EXPECT_EQ(raw_read->column_mapped_bytes(), 0u);
-  EXPECT_EQ(compressed_mmap->column_mapped_bytes(), 0u);
 
-  // The fingerprint identifies content bytes, so it tracks the encoding,
-  // but both load modes of one file agree on it.
+  // The fingerprint identifies content bytes: both load modes of one file
+  // agree on it.
   EXPECT_EQ(raw_read->fingerprint, raw_mmap->fingerprint);
-  EXPECT_EQ(compressed->fingerprint, compressed_mmap->fingerprint);
 
-  std::remove(raw_path.c_str());
-  std::remove(compressed_path.c_str());
-}
-
-TEST(StorageTierTest, CompressedContainerIsSubstantiallySmaller) {
-  SnapshotStats raw_stats, compressed_stats;
-  Write({.compress = false}, &raw_stats);
-  Write({.compress = true}, &compressed_stats);
-  EXPECT_LT(compressed_stats.total_bytes * 2, raw_stats.total_bytes)
-      << "compressed " << compressed_stats.total_bytes << " vs raw "
-      << raw_stats.total_bytes;
-  EXPECT_LT(compressed_stats.graph_bytes, raw_stats.graph_bytes);
-  EXPECT_LT(compressed_stats.signature_bytes, raw_stats.signature_bytes);
-  EXPECT_LT(compressed_stats.entity_index_bytes,
-            raw_stats.entity_index_bytes);
-  EXPECT_LT(compressed_stats.stats_bytes, raw_stats.stats_bytes);
+  std::remove(path.c_str());
 }
 
 TEST(StorageTierTest, LegacyVersionTwoContainerIsRejected) {
   // v3 is the only readable layout: a container claiming version 2 (the
   // u32 after the 8-byte magic and 4-byte byte-order mark) must fail with
   // the rebuild hint instead of being parsed with the narrower v2 table.
-  std::string bytes = Write({});
+  std::string bytes = Write();
   bytes[12] = 2;
   auto loaded = ReadSnapshot(bytes, &World().lexicon);
   ASSERT_FALSE(loaded.ok());
@@ -144,11 +113,10 @@ TEST(StorageTierTest, LegacyVersionTwoContainerIsRejected) {
             std::string::npos);
 }
 
-// --- Corruption handling over the compressed sections. ---
+// --- Corruption handling over the sections. ---
 
 struct SectionEntry {
   uint32_t id = 0;
-  uint32_t encoding = 0;
   uint64_t offset = 0;
   uint64_t size = 0;
   size_t crc_at = 0;  // file offset of the crc field, for forging
@@ -163,7 +131,6 @@ std::vector<SectionEntry> ParseTable(const std::string& bytes) {
   for (uint32_t i = 0; i < count; ++i, at += 28) {
     SectionEntry e;
     std::memcpy(&e.id, bytes.data() + at, 4);
-    std::memcpy(&e.encoding, bytes.data() + at + 4, 4);
     std::memcpy(&e.offset, bytes.data() + at + 8, 8);
     std::memcpy(&e.size, bytes.data() + at + 16, 8);
     e.crc_at = at + 24;
@@ -172,15 +139,45 @@ std::vector<SectionEntry> ParseTable(const std::string& bytes) {
   return sections;
 }
 
-TEST(StorageTierTest, BitFlipsInCompressedSectionsAreRejectedByCrc) {
-  std::string bytes = Write({.compress = true});
+const SectionEntry& FindSection(const std::vector<SectionEntry>& sections,
+                                uint32_t id) {
+  for (const SectionEntry& section : sections) {
+    if (section.id == id) return section;
+  }
+  ADD_FAILURE() << "section " << id << " missing";
+  return sections.front();
+}
+
+// Re-forges a section's CRC after its payload was edited, so the container
+// accepts the bytes and the section loader must catch the damage itself.
+void ForgeCrc(std::string* bytes, const SectionEntry& section) {
+  uint32_t crc = Crc32(bytes->data() + section.offset, section.size);
+  std::memcpy(bytes->data() + section.crc_at, &crc, sizeof(crc));
+}
+
+constexpr uint32_t kGraphSectionId = 1;
+constexpr uint32_t kDictionarySectionId = 4;
+
+TEST(StorageTierTest, NonRawSectionEncodingIsRejected) {
+  // Raw is the only section encoding: a table entry carrying any other
+  // value (the u32 after the section id) must fail with the rebuild hint
+  // instead of having its payload decoded.
+  std::string bytes = Write();
+  uint32_t encoding = 1;
+  std::memcpy(bytes.data() + 20 + 4, &encoding, sizeof(encoding));
+  auto loaded = ReadSnapshot(bytes, &World().lexicon);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption());
+  EXPECT_NE(loaded.status().ToString().find("rebuild the snapshot"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(StorageTierTest, BitFlipsInEverySectionAreRejectedByCrc) {
+  std::string bytes = Write();
   std::vector<SectionEntry> sections = ParseTable(bytes);
   ASSERT_EQ(sections.size(), 5u);
   for (const SectionEntry& section : sections) {
-    if (section.encoding !=
-        static_cast<uint32_t>(SectionEncoding::kCompressed)) {
-      continue;
-    }
     for (uint64_t step = 0; step < section.size;
          step += 1 + section.size / 23) {
       std::string mutated = bytes;
@@ -193,30 +190,37 @@ TEST(StorageTierTest, BitFlipsInCompressedSectionsAreRejectedByCrc) {
   }
 }
 
-TEST(StorageTierTest, ForgedCrcStillFailsInCompressedDecoders) {
+TEST(StorageTierTest, ForgedCrcStillFailsInSectionLoaders) {
   // Flip payload bytes AND recompute the section CRC, so the container
-  // machinery accepts the bytes and the delta/front-coding decoders
-  // themselves must catch the damage (or produce a consistent bundle —
-  // never crash, never accept garbage silently as something it is not).
-  std::string bytes = Write({.compress = true});
+  // machinery accepts the bytes and the section loaders themselves must
+  // catch the damage (or produce a consistent bundle — never crash, never
+  // read out of bounds, never allocate from a corrupt count).
+  std::string bytes = Write();
   std::vector<SectionEntry> sections = ParseTable(bytes);
+  ASSERT_EQ(sections.size(), 5u);
   size_t rejected = 0, accepted = 0;
   for (const SectionEntry& section : sections) {
-    if (section.encoding !=
-        static_cast<uint32_t>(SectionEncoding::kCompressed)) {
-      continue;
-    }
     for (uint64_t step = 0; step < section.size;
          step += 1 + section.size / 57) {
       std::string mutated = bytes;
       mutated[section.offset + step] ^= 0x81;
-      uint32_t crc = Crc32(mutated.data() + section.offset, section.size);
-      std::memcpy(mutated.data() + section.crc_at, &crc, sizeof(crc));
+      ForgeCrc(&mutated, section);
       auto loaded = ReadSnapshot(mutated, &World().lexicon);
       if (loaded.ok()) {
         ++accepted;
-        ASSERT_NE(loaded->graph, nullptr);
-        EXPECT_TRUE(loaded->graph->finalized());
+        const rdf::RdfGraph& graph = *loaded->graph;
+        EXPECT_TRUE(graph.finalized());
+        // An accepted bundle is safe to serve: every edge, in either
+        // direction, names a vertex the graph has.
+        const size_t n = graph.NumTerms();
+        for (rdf::TermId v = 0; v < n; ++v) {
+          for (auto edges : {graph.OutEdges(v), graph.InEdges(v)}) {
+            for (const rdf::Edge& e : edges) {
+              ASSERT_LT(e.predicate, n) << "section " << section.id;
+              ASSERT_LT(e.neighbor, n) << "section " << section.id;
+            }
+          }
+        }
       } else {
         ++rejected;
       }
@@ -226,19 +230,51 @@ TEST(StorageTierTest, ForgedCrcStillFailsInCompressedDecoders) {
   SUCCEED() << accepted << " lucky mutations re-validated";
 }
 
-TEST(StorageTierTest, EveryTruncationOfCompressedContainerIsRejected) {
-  std::string bytes = Write({.compress = true});
-  for (size_t n = 0; n < std::min<size_t>(bytes.size(), 200); ++n) {
-    EXPECT_FALSE(ReadSnapshot(bytes.substr(0, n), &World().lexicon).ok());
-  }
-  for (size_t n = 200; n < bytes.size(); n += 41) {
-    EXPECT_FALSE(ReadSnapshot(bytes.substr(0, n), &World().lexicon).ok());
-  }
+TEST(StorageTierTest, TermOffsetPastArenaIsRejected) {
+  // The graph section opens with the term dictionary's offset column: a
+  // varint count, pad to 8, then u64 offsets. Offset 2 is pushed far past
+  // the arena while the last offset still equals the arena size, so only a
+  // check of the whole column before the first term read rejects it.
+  std::string bytes = Write();
+  std::vector<SectionEntry> sections = ParseTable(bytes);
+  const SectionEntry& graph = FindSection(sections, kGraphSectionId);
+  BinaryReader count_reader(
+      std::string_view(bytes).substr(graph.offset, graph.size));
+  uint64_t num_offsets = 0;
+  ASSERT_TRUE(count_reader.ReadVarint(&num_offsets).ok());
+  ASSERT_GE(num_offsets, 4u);
+  // The count varint is under 8 bytes, so the 8-aligned column starts at +8.
+  size_t column_at = graph.offset + 8;
+  uint64_t past_arena = uint64_t{1} << 40;
+  std::memcpy(bytes.data() + column_at + 2 * sizeof(uint64_t), &past_arena,
+              sizeof(past_arena));
+  ForgeCrc(&bytes, graph);
+  auto loaded = ReadSnapshot(bytes, &World().lexicon);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+}
+
+TEST(StorageTierTest, HugePhraseCountIsRejected) {
+  // The dictionary section opens with the varint phrase count; 2^40 is far
+  // more phrases than the section has bytes, and must be rejected before
+  // anything is reserved for them.
+  std::string bytes = Write();
+  std::vector<SectionEntry> sections = ParseTable(bytes);
+  const SectionEntry& dict = FindSection(sections, kDictionarySectionId);
+  BinaryWriter count;
+  count.WriteVarint(uint64_t{1} << 40);
+  ASSERT_LE(count.size(), dict.size);
+  std::memcpy(bytes.data() + dict.offset, count.buffer().data(),
+              count.size());
+  ForgeCrc(&bytes, dict);
+  auto loaded = ReadSnapshot(bytes, &World().lexicon);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
 }
 
 TEST(StorageTierTest, MmapLoadRejectsCorruptFile) {
   std::string path = "storage_tier_corrupt.snap";
-  std::string bytes = WriteToFile(path, {.compress = false});
+  std::string bytes = WriteToFile(path);
   std::vector<SectionEntry> sections = ParseTable(bytes);
   std::string mutated = bytes;
   mutated[sections[0].offset + sections[0].size / 2] ^= 0x10;
