@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "bench_support.h"
 #include "common/search.h"
+#include "common/string_util.h"
 #include "deanna/deanna_qa.h"
 #include "linking/entity_linker.h"
 #include "nlp/dependency_parser.h"
@@ -58,6 +61,84 @@ void BM_EntityLink(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EntityLink);
+
+/// The KbGenerator KB at qabench's 16x scale, where numbered titles make
+/// "2" and "3" hub tokens with thousands of postings, plus two film-title
+/// phrases that hit the biggest hub: one a title without its article (an
+/// exact match, so dominance prunes), one the title minus its first word
+/// as well (no exact match, so MaxScore prunes).
+struct HubLinkWorld {
+  datagen::KbGenerator::GeneratedKb kb;
+  std::unique_ptr<linking::EntityIndex> index;
+  std::string exact_phrase;
+  std::string no_exact_phrase;
+};
+
+const HubLinkWorld& HubWorld() {
+  static HubLinkWorld* world = [] {
+    auto* w = new HubLinkWorld();
+    datagen::KbGenerator::Options options;
+    options.num_families *= 16;
+    options.num_films *= 16;
+    options.num_cities *= 16;
+    options.num_companies *= 16;
+    options.num_books *= 16;
+    options.num_teams *= 16;
+    options.num_bands *= 16;
+    auto kb = datagen::KbGenerator::Generate(options);
+    if (!kb.ok()) std::abort();
+    w->kb = std::move(kb).value();
+    w->index = std::make_unique<linking::EntityIndex>(w->kb.graph);
+    // The most-posted last word of a title: a sequel number.
+    std::string hub;
+    for (const std::string& film : w->kb.films) {
+      std::vector<std::string> tokens = SplitWhitespace(NormalizeLabel(film));
+      if (!tokens.empty() && w->index->TokenMatches(tokens.back()).size() >
+                                 w->index->TokenMatches(hub).size()) {
+        hub = tokens.back();
+      }
+    }
+    for (const std::string& film : w->kb.films) {
+      std::vector<std::string> tokens = SplitWhitespace(NormalizeLabel(film));
+      if (!tokens.empty() && tokens.front() == "the") {
+        tokens.erase(tokens.begin());
+      }
+      if (tokens.size() < 3 || tokens.back() != hub) continue;
+      std::string shortened = Join(
+          std::vector<std::string>(tokens.begin() + 1, tokens.end()), " ");
+      if (w->index->ExactMatches(Join(tokens, " ")).empty() ||
+          !w->index->ExactMatches(shortened).empty()) {
+        continue;
+      }
+      w->exact_phrase = Join(tokens, " ");
+      w->no_exact_phrase = shortened;
+      break;
+    }
+    if (w->exact_phrase.empty()) std::abort();
+    return w;
+  }();
+  return *world;
+}
+
+void BM_EntityLinkHubExact(benchmark::State& state) {
+  const HubLinkWorld& w = HubWorld();
+  linking::EntityLinker linker(w.index.get());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linker.Link(w.exact_phrase));
+  }
+  state.SetLabel(w.exact_phrase);
+}
+BENCHMARK(BM_EntityLinkHubExact);
+
+void BM_EntityLinkHubNoExact(benchmark::State& state) {
+  const HubLinkWorld& w = HubWorld();
+  linking::EntityLinker linker(w.index.get());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linker.Link(w.no_exact_phrase));
+  }
+  state.SetLabel(w.no_exact_phrase);
+}
+BENCHMARK(BM_EntityLinkHubNoExact);
 
 void BM_PathMining(benchmark::State& state) {
   const auto& g = World().kb.graph;

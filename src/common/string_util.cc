@@ -43,15 +43,20 @@ std::vector<std::string> Split(std::string_view s, char sep, bool keep_empty) {
 }
 
 std::vector<std::string> SplitWhitespace(std::string_view s) {
-  std::vector<std::string> out;
+  std::vector<std::string_view> views;
+  SplitWhitespace(s, &views);
+  return {views.begin(), views.end()};
+}
+
+void SplitWhitespace(std::string_view s, std::vector<std::string_view>* out) {
+  out->clear();
   size_t i = 0;
   while (i < s.size()) {
     while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
     size_t start = i;
     while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
+    if (i > start) out->push_back(s.substr(start, i - start));
   }
-  return out;
 }
 
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {

@@ -21,6 +21,9 @@ std::vector<std::string> Split(std::string_view s, char sep,
 
 /// Splits on runs of ASCII whitespace.
 std::vector<std::string> SplitWhitespace(std::string_view s);
+/// The same split into views of \p s, replacing the contents of \p out
+/// (its capacity is reused, so a hot loop splits without allocating).
+void SplitWhitespace(std::string_view s, std::vector<std::string_view>* out);
 
 /// Joins \p parts with \p sep.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);

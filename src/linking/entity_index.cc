@@ -1,9 +1,9 @@
 #include "linking/entity_index.h"
 
 #include <algorithm>
-#include <unordered_set>
-
+#include <cctype>
 #include <cstring>
+#include <unordered_set>
 
 #include "common/binary_io.h"
 #include "common/string_util.h"
@@ -201,9 +201,13 @@ StatusOr<std::unique_ptr<EntityIndex>> EntityIndex::LoadBinary(
           std::vector<rdf::TermId> list;
           GANSWER_RETURN_NOT_OK(in->ReadString(&key));
           GANSWER_RETURN_NOT_OK(in->ReadPodVector(&list));
-          for (rdf::TermId v : list) {
-            if (v >= num_terms) {
+          for (size_t j = 0; j < list.size(); ++j) {
+            if (list[j] >= num_terms) {
               return Status::Corruption("entity index posting out of range");
+            }
+            // The linker merges postings lists by vertex id.
+            if (j > 0 && list[j - 1] >= list[j]) {
+              return Status::Corruption("entity index postings not sorted");
             }
           }
           if (!m->emplace(std::move(key), std::move(list)).second) {

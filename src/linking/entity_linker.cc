@@ -2,13 +2,76 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
-#include <unordered_map>
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <span>
 
 #include "common/string_util.h"
 
 namespace ganswer {
 namespace linking {
+
+namespace {
+
+// The fuzzy pass runs only on calls with at most this many candidates.
+constexpr size_t kFuzzyMaxCandidates = 32;
+
+// MaxScore compares a bound computed as 0.4 + 0.6·s/q against scores
+// computed as 0.4 + 0.35·coverage + 0.25·jaccard. The two round
+// differently, so a vertex is pruned only when its bound is below the
+// threshold by more than this, which is far above rounding error. A
+// larger slack only prunes less; it never changes the result.
+constexpr double kBoundSlack = 1e-9;
+
+// A vertex of the token union with the number of distinct query tokens
+// its labels contain.
+struct TokenHit {
+  rdf::TermId vertex;
+  uint32_t shared;
+};
+
+struct Scored {
+  rdf::TermId vertex;
+  double similarity;
+};
+
+void SortUnique(std::vector<std::string_view>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+// The token union of \p tokens (distinct) in ascending vertex order: a
+// q-way merge over the sorted postings that counts, per vertex, how many
+// of the tokens hit it.
+std::vector<TokenHit> CountTokenHits(
+    const EntityIndex& index, const std::vector<std::string_view>& tokens) {
+  std::vector<std::span<const rdf::TermId>> lists;
+  size_t total = 0;
+  for (std::string_view token : tokens) {
+    const std::vector<rdf::TermId>& list = index.TokenMatches(token);
+    if (list.empty()) continue;
+    lists.emplace_back(list);
+    total += list.size();
+  }
+  std::vector<TokenHit> hits;
+  hits.reserve(total);
+  while (!lists.empty()) {
+    rdf::TermId v = lists.front().front();
+    for (const auto& list : lists) v = std::min(v, list.front());
+    uint32_t shared = 0;
+    for (auto& list : lists) {
+      if (list.front() != v) continue;
+      list = list.subspan(1);
+      ++shared;
+    }
+    std::erase_if(lists, [](const auto& list) { return list.empty(); });
+    hits.push_back({v, shared});
+  }
+  return hits;
+}
+
+}  // namespace
 
 EntityLinker::EntityLinker(const EntityIndex* index)
     : EntityLinker(index, Options()) {}
@@ -25,21 +88,51 @@ double EntityLinker::Popularity(rdf::TermId v) const {
   return d / log_max_degree_;
 }
 
+double EntityLinker::TokenSimilarity(
+    rdf::TermId v, const std::vector<std::string_view>& query,
+    std::vector<std::string_view>* label_tokens) const {
+  // Similarity rewards the label *containing* the whole mention: the paper
+  // needs "Philadelphia" -> <Philadelphia_76ers> and "actor" ->
+  // <An_Actor_Prepares> to stay candidates, while "Salt Lake City" ->
+  // class <City> (mention barely covered) should not survive an exact
+  // match.
+  double best = 0.0;
+  for (const std::string& label : index_->LabelsOf(v)) {
+    SplitWhitespace(label, label_tokens);
+    SortUnique(label_tokens);
+    size_t shared = 0;
+    auto q = query.begin();
+    auto l = label_tokens->begin();
+    while (q != query.end() && l != label_tokens->end()) {
+      if (*q < *l) {
+        ++q;
+      } else if (*l < *q) {
+        ++l;
+      } else {
+        ++shared;
+        ++q;
+        ++l;
+      }
+    }
+    size_t uni = query.size() + label_tokens->size() - shared;
+    double jac = static_cast<double>(shared) / static_cast<double>(uni);
+    double coverage =
+        static_cast<double>(shared) / static_cast<double>(query.size());
+    best = std::max(best, 0.4 + 0.35 * coverage + 0.25 * jac);
+  }
+  return best;
+}
+
 std::vector<LinkCandidate> EntityLinker::Link(std::string_view phrase) const {
   std::string norm = NormalizeLabel(phrase);
-  if (norm.empty()) return {};
+  if (norm.empty() || options_.max_candidates == 0) return {};
 
-  // Best string similarity per candidate vertex.
-  std::unordered_map<rdf::TermId, double> similarity;
-
-  // 1) Exact normalized matches.
-  for (rdf::TermId v : index_->ExactMatches(norm)) {
-    similarity[v] = std::max(similarity[v], 1.0);
-  }
-
-  // Singular fallbacks for plural class mentions: try every plausible
-  // de-pluralization ("movies" -> "movie", "cities" -> "city",
-  // "crosses" -> "cross") and keep whichever the index knows.
+  // 1) Seeds: exact normalized matches (similarity 1) and singular
+  // fallbacks for plural class mentions (0.95). Try every plausible
+  // de-pluralization ("movies" -> "movie", "cities" -> "city", "crosses"
+  // -> "cross") and keep whichever the index knows.
+  std::vector<Scored> scored;
+  for (rdf::TermId v : index_->ExactMatches(norm)) scored.push_back({v, 1.0});
   std::vector<std::string> tokens = SplitWhitespace(norm);
   if (!tokens.empty() && EndsWith(tokens.back(), "s")) {
     const std::string& last = tokens.back();
@@ -57,47 +150,75 @@ std::vector<LinkCandidate> EntityLinker::Link(std::string_view phrase) const {
       std::vector<std::string> singular_tokens = tokens;
       singular_tokens.back() = singular_last;
       for (rdf::TermId v : index_->ExactMatches(Join(singular_tokens, " "))) {
-        similarity[v] = std::max(similarity[v], 0.95);
+        scored.push_back({v, 0.95});
       }
     }
   }
+  // One seed per vertex, at its best similarity, sorted by vertex; token
+  // candidates are appended after them.
+  std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
+    if (a.vertex != b.vertex) return a.vertex < b.vertex;
+    return a.similarity > b.similarity;
+  });
+  scored.erase(std::unique(scored.begin(), scored.end(),
+                           [](const Scored& a, const Scored& b) {
+                             return a.vertex == b.vertex;
+                           }),
+               scored.end());
+  const size_t num_seeds = scored.size();
+  auto find_seed = [&](rdf::TermId v) -> Scored* {
+    auto seeds_end = scored.begin() + num_seeds;
+    auto it = std::lower_bound(
+        scored.begin(), seeds_end, v,
+        [](const Scored& s, rdf::TermId x) { return s.vertex < x; });
+    return it != seeds_end && it->vertex == v ? &*it : nullptr;
+  };
 
-  // 2) Token-level candidates: vertices sharing a token with the phrase.
-  // Similarity rewards the label *containing* the whole mention: the paper
-  // needs "Philadelphia" -> <Philadelphia_76ers> and "actor" ->
-  // <An_Actor_Prepares> to stay candidates, while "Salt Lake City" ->
-  // class <City> (mention barely covered) should not survive an exact
-  // match.
-  std::set<std::string> query_tokens(tokens.begin(), tokens.end());
-  for (const std::string& token : tokens) {
-    for (rdf::TermId v : index_->TokenMatches(token)) {
-      auto [it, inserted] = similarity.try_emplace(v, 0.0);
-      if (!inserted && it->second >= 1.0) continue;
-      double best = it->second;
-      for (const std::string& label : index_->LabelsOf(v)) {
-        std::vector<std::string> label_tokens = SplitWhitespace(label);
-        size_t covered = 0;
-        size_t shared = 0;
-        std::set<std::string> label_set(label_tokens.begin(),
-                                        label_tokens.end());
-        for (const std::string& t : query_tokens) {
-          if (label_set.count(t)) {
-            ++covered;
-            ++shared;
-          }
-        }
-        size_t uni = query_tokens.size() + label_set.size() - shared;
-        double jac = uni == 0 ? 0.0
-                              : static_cast<double>(shared) /
-                                    static_cast<double>(uni);
-        double coverage =
-            query_tokens.empty()
-                ? 0.0
-                : static_cast<double>(covered) /
-                      static_cast<double>(query_tokens.size());
-        best = std::max(best, 0.4 + 0.35 * coverage + 0.25 * jac);
+  // 2) Token candidates: every vertex sharing s >= 1 of the phrase's q
+  // distinct tokens. A label scores 0.4 + 0.35·coverage + 0.25·jaccard,
+  // and both terms are at most s/q, so 0.4 + 0.6·s/q bounds the score.
+  std::vector<std::string_view> query(tokens.begin(), tokens.end());
+  SortUnique(&query);
+  const size_t q = query.size();
+  std::vector<TokenHit> hits = CountTokenHits(*index_, query);
+  auto upper_similarity = [q](uint32_t s) {
+    return 0.4 + 0.6 * static_cast<double>(s) / static_cast<double>(q);
+  };
+
+  // The fuzzy gate counts |exact ∪ singular ∪ token union|, pruned or not,
+  // so which calls run it never depends on pruning. A fuzzy score can
+  // reach exactly 0.7 and so survive dominance; calls that run the fuzzy
+  // pass therefore score every candidate.
+  size_t num_candidates = num_seeds + hits.size();
+  for (size_t i = 0; i < num_seeds; ++i) {
+    auto it = std::lower_bound(
+        hits.begin(), hits.end(), scored[i].vertex,
+        [](const TokenHit& h, rdf::TermId x) { return h.vertex < x; });
+    if (it != hits.end() && it->vertex == scored[i].vertex) --num_candidates;
+  }
+  const bool fuzzy = num_candidates <= kFuzzyMaxCandidates;
+
+  // Vertices that could reach 0.95 (0.4 + 0.6·s/q >= 0.95, i.e.
+  // 12s >= 11q: a permuted label, or s = q-1 once q >= 12) decide
+  // exact-match dominance, so they are scored up front. The rest are
+  // deferred to the bounded pass below.
+  std::vector<TokenHit> deferred;
+  std::vector<std::string_view> label_tokens;
+  for (const TokenHit& hit : hits) {
+    const bool must_score = fuzzy || 12 * size_t{hit.shared} >= 11 * q;
+    if (Scored* seed = find_seed(hit.vertex)) {
+      // An exact match is final; a singular one is only raised by its own
+      // token score, which is below 0.95 unless must_score holds.
+      if (seed->similarity < 1.0 && must_score) {
+        seed->similarity = std::max(
+            seed->similarity,
+            TokenSimilarity(hit.vertex, query, &label_tokens));
       }
-      it->second = best;
+    } else if (must_score) {
+      scored.push_back(
+          {hit.vertex, TokenSimilarity(hit.vertex, query, &label_tokens)});
+    } else {
+      deferred.push_back(hit);
     }
   }
 
@@ -106,13 +227,13 @@ std::vector<LinkCandidate> EntityLinker::Link(std::string_view phrase) const {
   // similarity is capped at 0.7 so it can never rival an exact match; it
   // exists to rescue near-misses, so it is skipped when token matching
   // already produced a crowd of candidates or a solid score.
-  if (similarity.size() <= 32) {
-    for (auto& [v, sim] : similarity) {
-      if (sim >= 0.75) continue;
-      for (const std::string& label : index_->LabelsOf(v)) {
+  if (fuzzy) {
+    for (Scored& c : scored) {
+      if (c.similarity >= 0.75) continue;
+      for (const std::string& label : index_->LabelsOf(c.vertex)) {
         double dice = BigramDice(norm, label);
         if (dice >= options_.fuzzy_threshold) {
-          sim = std::max(sim, 0.3 + 0.4 * dice);
+          c.similarity = std::max(c.similarity, 0.3 + 0.4 * dice);
         }
       }
     }
@@ -121,31 +242,69 @@ std::vector<LinkCandidate> EntityLinker::Link(std::string_view phrase) const {
   // Exact-match dominance: when the mention names some vertex exactly, the
   // remaining ambiguity is among exact matches (the three Philadelphias);
   // weak partial-token candidates (the City class for "Salt Lake City")
-  // are spurious, not ambiguous.
-  double best_sim = 0.0;
-  for (const auto& [v, sim] : similarity) best_sim = std::max(best_sim, sim);
-  if (best_sim >= 0.95) {
-    std::erase_if(similarity,
-                  [](const auto& entry) { return entry.second < 0.7; });
-    // Surviving partial matches stay candidates (the data-driven fallback
-    // may still need them) but at a clear confidence discount, so their
-    // interpretations never tie an exact match's answers.
-    for (auto& [v, sim] : similarity) {
-      if (sim < 0.95) sim *= 0.6;
-    }
-  }
+  // are spurious, not ambiguous. Every vertex that could reach 0.95 is
+  // scored by now, so this is settled before any pruning below.
+  const bool dominated =
+      std::any_of(scored.begin(), scored.end(),
+                  [](const Scored& c) { return c.similarity >= 0.95; });
 
   std::vector<LinkCandidate> out;
-  out.reserve(similarity.size());
-  for (const auto& [v, sim] : similarity) {
+  // The max_candidates best confidences emitted so far (a min-heap).
+  std::priority_queue<double, std::vector<double>, std::greater<double>> best;
+  const double w = options_.similarity_weight;
+  auto emit = [&](rdf::TermId v, double sim) {
+    if (dominated) {
+      if (sim < 0.7) return;
+      // Surviving partial matches stay candidates (the data-driven
+      // fallback may still need them) but at a clear confidence discount,
+      // so their interpretations never tie an exact match's answers.
+      if (sim < 0.95) sim *= 0.6;
+    }
     LinkCandidate c;
     c.vertex = v;
     c.is_class = index_->graph().IsClass(v);
-    c.confidence = options_.similarity_weight * sim +
-                   (1.0 - options_.similarity_weight) * Popularity(v);
-    if (c.confidence < options_.min_confidence) continue;
+    c.confidence = w * sim + (1.0 - w) * Popularity(v);
+    if (c.confidence < options_.min_confidence) return;
     out.push_back(c);
+    if (best.size() < options_.max_candidates) {
+      best.push(c.confidence);
+    } else if (c.confidence > best.top()) {
+      best.pop();
+      best.push(c.confidence);
+    }
+  };
+  for (const Scored& c : scored) emit(c.vertex, c.similarity);
+
+  // 4) MaxScore over the deferred vertices, by descending s. Under
+  // dominance those with 2s < q score below 0.7 and are erased unscored.
+  // A vertex's confidence is at most w·(0.4 + 0.6·s/q) + (1-w)·Popularity(v)
+  // (sims only shrink under dominance); it is scored only if that bound
+  // reaches the max_candidates-th best confidence so far and
+  // min_confidence. Popularity is looked up only when the similarity term
+  // alone does not clear the threshold. A negative similarity weight turns
+  // the bound around, so it never prunes.
+  if (dominated) {
+    std::erase_if(deferred,
+                  [q](const TokenHit& h) { return 2 * size_t{h.shared} < q; });
   }
+  std::sort(deferred.begin(), deferred.end(),
+            [](const TokenHit& a, const TokenHit& b) {
+              return a.shared > b.shared;
+            });
+  for (const TokenHit& hit : deferred) {
+    const double threshold =
+        best.size() < options_.max_candidates
+            ? options_.min_confidence
+            : std::max(options_.min_confidence, best.top());
+    const double sim_bound = w * upper_similarity(hit.shared);
+    if (w >= 0 && sim_bound + kBoundSlack < threshold &&
+        sim_bound + (1.0 - w) * Popularity(hit.vertex) + kBoundSlack <
+            threshold) {
+      continue;
+    }
+    emit(hit.vertex, TokenSimilarity(hit.vertex, query, &label_tokens));
+  }
+
   std::sort(out.begin(), out.end(),
             [](const LinkCandidate& a, const LinkCandidate& b) {
               if (a.confidence != b.confidence) {

@@ -26,6 +26,16 @@ struct LinkCandidate {
 /// Confidence blends string similarity with a degree-based popularity prior
 /// — deliberately NOT enough to disambiguate "Philadelphia"; that is the
 /// query evaluation stage's job.
+///
+/// Token candidates are scored once each and only if they can reach the
+/// output. A vertex hitting s of the phrase's q distinct tokens has
+/// similarity at most 0.4 + 0.6·s/q. When the phrase has more than 32
+/// candidates (so no fuzzy pass), vertices that could reach 0.95 are
+/// scored first, which settles exact-match dominance; under dominance
+/// vertices with 2s < q would be erased and are skipped, and the rest are
+/// visited MaxScore-style, stopping once their confidence bound falls
+/// below the max_candidates-th best confidence or min_confidence. The
+/// result is identical to scoring every candidate.
 class EntityLinker {
  public:
   struct Options {
@@ -51,6 +61,11 @@ class EntityLinker {
 
  private:
   double Popularity(rdf::TermId v) const;
+  /// Best token similarity of \p v's labels to \p query (sorted distinct
+  /// tokens); \p label_tokens is scratch space.
+  double TokenSimilarity(rdf::TermId v,
+                         const std::vector<std::string_view>& query,
+                         std::vector<std::string_view>* label_tokens) const;
 
   const EntityIndex* index_;
   Options options_;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <string_view>
+#include <vector>
 
 namespace ganswer {
 namespace {
@@ -32,6 +34,12 @@ TEST(StringUtilTest, SplitWhitespace) {
   EXPECT_EQ(SplitWhitespace("  a \t b\nc "),
             (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_TRUE(SplitWhitespace("   ").empty());
+  // The view overload replaces what its output held before.
+  std::vector<std::string_view> views = {"stale"};
+  SplitWhitespace("  a \t b\nc ", &views);
+  EXPECT_EQ(views, (std::vector<std::string_view>{"a", "b", "c"}));
+  SplitWhitespace("   ", &views);
+  EXPECT_TRUE(views.empty());
 }
 
 TEST(StringUtilTest, Join) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
+
+#include "common/binary_io.h"
 #include "linking/entity_index.h"
+#include "oracle/link_oracle.h"
 #include "test_support.h"
 
 namespace ganswer {
@@ -140,10 +146,215 @@ TEST(EntityIndexTest, ClassLabelsAreIndexed) {
   EXPECT_TRUE(world.kb.graph.IsClass(matches[0]));
 }
 
+TEST(EntityIndexTest, LoadRejectsUnsortedPostings) {
+  rdf::RdfGraph graph;
+  graph.AddTriple("Alpha", "rdf:type", "Thing");
+  graph.AddTriple("Beta", "rdf:type", "Thing");
+  ASSERT_TRUE(graph.Finalize().ok());
+  rdf::TermId alpha = *graph.Find("Alpha");
+  rdf::TermId beta = *graph.Find("Beta");
+  // The linker merges postings by vertex id, so a loaded list must be
+  // strictly ascending.
+  auto load = [&](std::vector<rdf::TermId> postings) {
+    BinaryWriter out;
+    out.WriteVarint(0);  // no labels
+    out.WriteVarint(1);  // one token
+    out.WriteString("shared");
+    out.WritePodVector(postings);
+    out.WriteVarint(0);  // no per-vertex labels
+    BinaryReader in(out.buffer());
+    return EntityIndex::LoadBinary(graph, &in).status();
+  };
+  EXPECT_TRUE(load({std::min(alpha, beta), std::max(alpha, beta)}).ok());
+  EXPECT_EQ(load({std::max(alpha, beta), std::min(alpha, beta)}).code(),
+            Status::Code::kCorruption);
+  EXPECT_EQ(load({alpha, alpha}).code(), Status::Code::kCorruption);
+}
+
 TEST(EntityIndexTest, NumericLiteralsAreNotIndexed) {
   const auto& world = ganswer::testing::World();
   EntityIndex index(world.kb.graph);
   EXPECT_TRUE(index.ExactMatches("1.98").empty());
+}
+
+// Boundary cases of the pruned linker. Each builds a small KB whose
+// candidate count and scores sit on one of the pruning rules' edges, and
+// checks both the intended outcome and equality with the unpruned
+// reference linker (tests/oracle/link_oracle.h).
+class LinkerBoundaryTest : public ::testing::Test {
+ protected:
+  /// An entity of class Thing, with optional lowercase rdfs:label literals
+  /// (lowercase, so the literals are not indexed as vertices of their own).
+  void AddEntity(const std::string& iri,
+                 const std::vector<std::string>& labels = {}) {
+    graph_.AddTriple(iri, "rdf:type", "Thing");
+    for (const std::string& label : labels) {
+      graph_.AddTriple(iri, "rdfs:label", label, rdf::TermKind::kLiteral);
+    }
+  }
+  /// \p n entities Filler_<tag>_<i> whose IRI labels share \p tag with the
+  /// phrases below.
+  void AddFillers(const std::string& tag, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      AddEntity("Filler_" + tag + "_f" + std::to_string(i));
+    }
+  }
+  void Finalize() {
+    ASSERT_TRUE(graph_.Finalize().ok());
+    index_ = std::make_unique<EntityIndex>(graph_);
+  }
+
+  size_t NumCandidates(const std::string& phrase) {
+    return ganswer::testing::ShapeOf(*index_, phrase).candidates;
+  }
+  /// Links \p phrase and checks the result against the reference.
+  std::vector<LinkCandidate> Link(const std::string& phrase,
+                                  EntityLinker::Options options = {}) {
+    std::vector<LinkCandidate> got =
+        EntityLinker(index_.get(), options).Link(phrase);
+    std::vector<LinkCandidate> want =
+        ganswer::testing::ReferenceLink(*index_, options, phrase);
+    EXPECT_EQ(got.size(), want.size()) << phrase;
+    for (size_t i = 0; i < got.size() && i < want.size(); ++i) {
+      EXPECT_EQ(got[i].vertex, want[i].vertex) << phrase << " rank " << i;
+      EXPECT_EQ(got[i].is_class, want[i].is_class) << phrase << " rank " << i;
+      EXPECT_EQ(got[i].confidence, want[i].confidence)
+          << phrase << " rank " << i;
+    }
+    return got;
+  }
+  bool Has(const std::vector<LinkCandidate>& cands, const std::string& iri) {
+    rdf::TermId v = *graph_.Find(iri);
+    return std::any_of(cands.begin(), cands.end(),
+                       [v](const LinkCandidate& c) { return c.vertex == v; });
+  }
+  double Popularity(const std::string& iri) {
+    double degree = static_cast<double>(graph_.Degree(*graph_.Find(iri)));
+    return std::log(1.0 + degree) /
+           std::log(1.0 + static_cast<double>(graph_.MaxDegree()));
+  }
+
+  rdf::RdfGraph graph_;
+  std::unique_ptr<EntityIndex> index_;
+};
+
+// "abcd efgh a" and "cd efgh abc" are rotations of one cyclic string, so
+// their bigram Dice is exactly 1 and the fuzzy pass lifts the near-miss to
+// 0.3 + 0.4 = 0.7, which survives exact-match dominance. Its token score
+// (one shared token of three) is below 0.7, and 2s < q. The fuzzy pass runs
+// at 32 candidates and not at 33, so the near-miss is a candidate at 32
+// and erased at 33: only the full candidate count may gate pruning.
+class FuzzyGateTest : public LinkerBoundaryTest,
+                      public ::testing::WithParamInterface<size_t> {};
+
+TEST_P(FuzzyGateTest, FuzzyNearMissSurvivesOnlyWhenTheFuzzyPassRuns) {
+  const size_t total = GetParam();
+  AddEntity("Abcd_efgh_a");
+  AddEntity("Near", {"cd efgh abc"});
+  AddFillers("efgh", total - 2);
+  Finalize();
+  ASSERT_EQ(NumCandidates("abcd efgh a"), total);
+  EntityLinker::Options options;
+  options.max_candidates = 64;
+  auto cands = Link("abcd efgh a", options);
+  ASSERT_FALSE(cands.empty());
+  EXPECT_EQ(cands[0].vertex, *graph_.Find("Abcd_efgh_a"));
+  EXPECT_EQ(Has(cands, "Near"), total <= 32);
+  // Everything else shares one token of three and is erased.
+  EXPECT_EQ(cands.size(), total <= 32 ? 2u : 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ThirtyTwoAndThirtyThree, FuzzyGateTest,
+                         ::testing::Values(32, 33));
+
+TEST_F(LinkerBoundaryTest, PermutedLabelDominatesWithoutExactMatch) {
+  AddEntity("Permuted", {"gamma alpha beta"});
+  AddEntity("Partial", {"alpha beta delta"});
+  AddFillers("alpha", 40);
+  Finalize();
+  ASSERT_GT(NumCandidates("alpha beta gamma"), 32u);
+  auto cands = Link("alpha beta gamma");
+  ASSERT_EQ(cands.size(), 2u);
+  // The permuted label has similarity 1 and no discount.
+  EXPECT_EQ(cands[0].vertex, *graph_.Find("Permuted"));
+  EXPECT_DOUBLE_EQ(cands[0].confidence, 0.75 + 0.25 * Popularity("Permuted"));
+  // Two of three tokens: similarity 0.758 survives at a 0.6 discount; the
+  // one-token fillers are erased.
+  EXPECT_EQ(cands[1].vertex, *graph_.Find("Partial"));
+}
+
+TEST_F(LinkerBoundaryTest, TwelveTokenPhraseWithElevenSharedReachesDominance) {
+  const std::string phrase =
+      "t01 t02 t03 t04 t05 t06 t07 t08 t09 t10 t11 t12";
+  // s = 11 of q = 12 with an 11-token label: 0.4 + 0.35·11/12 + 0.25·11/12
+  // is exactly 0.95, so this vertex must be scored before dominance is
+  // decided even though it is not an exact match.
+  AddEntity("Eleven", {"t01 t02 t03 t04 t05 t06 t07 t08 t09 t10 t11"});
+  AddEntity("Six", {"t01 t02 t03 t04 t05 t06"});
+  AddFillers("t01", 40);
+  Finalize();
+  ASSERT_GT(NumCandidates(phrase), 32u);
+  auto cands = Link(phrase);
+  ASSERT_EQ(cands.size(), 2u);
+  EXPECT_EQ(cands[0].vertex, *graph_.Find("Eleven"));
+  EXPECT_DOUBLE_EQ(cands[0].confidence,
+                   0.75 * 0.95 + 0.25 * Popularity("Eleven"));
+  // 2s = q sits exactly on the pruning edge: 0.4 + 0.175 + 0.125 = 0.7
+  // survives dominance (at a discount), so it must not be skipped. The
+  // one-token fillers are erased.
+  EXPECT_EQ(cands[1].vertex, *graph_.Find("Six"));
+}
+
+TEST_F(LinkerBoundaryTest, DuplicateQueryTokensCountOnce) {
+  AddEntity("New_York");
+  AddEntity("New_Jersey");
+  AddFillers("new", 40);
+  Finalize();
+  ASSERT_GT(NumCandidates("new new york"), 32u);
+  auto cands = Link("new new york");
+  ASSERT_FALSE(cands.empty());
+  // q = 2 distinct tokens, both in "new york": similarity 1.
+  EXPECT_EQ(cands[0].vertex, *graph_.Find("New_York"));
+  EXPECT_DOUBLE_EQ(cands[0].confidence, 0.75 + 0.25 * Popularity("New_York"));
+  EXPECT_FALSE(Has(cands, "New_Jersey"));
+}
+
+TEST_F(LinkerBoundaryTest, SingularOnlyMatchDominates) {
+  AddEntity("Red_widget");
+  // A singular match whose own token score (a permuted label) beats 0.95.
+  AddEntity("Widget_red", {"red widget", "widgets red"});
+  AddEntity("Red_gadgets");
+  AddFillers("red", 40);
+  Finalize();
+  ASSERT_TRUE(index_->ExactMatches("red widgets").empty());
+  ASSERT_GT(NumCandidates("red widgets"), 32u);
+  auto cands = Link("red widgets");
+  ASSERT_GE(cands.size(), 2u);
+  EXPECT_EQ(cands[0].vertex, *graph_.Find("Widget_red"));
+  EXPECT_DOUBLE_EQ(cands[0].confidence,
+                   0.75 + 0.25 * Popularity("Widget_red"));
+  EXPECT_TRUE(Has(cands, "Red_widget"));
+  EXPECT_FALSE(Has(cands, "Filler_red_f0"));
+}
+
+TEST_F(LinkerBoundaryTest, TwoTokenPhraseWithHubTokenPrunesNothing) {
+  // q = 2: every posting has 2s >= q, so dominance pruning skips nothing
+  // and each hub vertex is scored; the result must still match.
+  AddEntity("Acme_2");
+  AddEntity("Acme_corp", {"2 acme corp"});
+  AddFillers("2", 60);
+  Finalize();
+  ASSERT_GT(NumCandidates("acme 2"), 32u);
+  auto cands = Link("acme 2");
+  ASSERT_EQ(cands.size(), 2u);
+  EXPECT_EQ(cands[0].vertex, *graph_.Find("Acme_2"));
+  EXPECT_EQ(cands[1].vertex, *graph_.Find("Acme_corp"));
+  // Without the exact match, MaxScore ranks hub vertices by their bound.
+  EntityLinker::Options one;
+  one.max_candidates = 1;
+  auto top = Link("acme 2 corp", one);
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].vertex, *graph_.Find("Acme_corp"));
 }
 
 }  // namespace
