@@ -20,7 +20,7 @@ namespace bench {
 /// Peak resident set size of this process in kilobytes, from the VmHWM
 /// line of /proc/self/status (Linux only; 0 where unavailable). The
 /// high-water mark is monotone over the process lifetime, so per-phase
-/// deltas need a fork — see bench_storage_tier.
+/// deltas need a fresh child process per phase.
 inline size_t ReadVmHwmKb() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) return 0;

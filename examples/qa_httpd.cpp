@@ -107,7 +107,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s --snapshot FILE [--port N] [--address A] [--threads N]\n"
       "          [--max-queue N] [--deadline-ms N] [--no-fast-path]\n"
-      "          [--cache N] [--idle-timeout-ms N] [--mmap]\n"
+      "          [--cache N] [--idle-timeout-ms N]\n"
       "          [--live DIR [--compact-threshold N]]\n"
       "       %s --build-demo-snapshot FILE\n"
       "--live serves a live store at DIR (bootstrapped from --snapshot on\n"
@@ -158,8 +158,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(flag, "--idle-timeout-ms") == 0 &&
                i + 1 < argc) {
       ok = number(&options.idle_timeout_ms, kIntMin, kIntMax);
-    } else if (std::strcmp(flag, "--mmap") == 0) {
-      options.mmap_load = true;
     } else if (std::strcmp(flag, "--live") == 0 && i + 1 < argc) {
       options.live_dir = argv[++i];
     } else if (std::strcmp(flag, "--compact-threshold") == 0 &&

@@ -3,13 +3,11 @@
 
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
-#include "common/pod_column.h"
 #include "common/status.h"
 
 namespace ganswer {
@@ -27,9 +25,8 @@ uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 /// contiguous memcpy so the matching read is a single bulk copy.
 ///
 /// In aligned mode (snapshot format v3) every pod-vector payload is padded
-/// to an 8-byte boundary relative to the start of the buffer, which — with
-/// 8-aligned section offsets in the container — makes each payload directly
-/// addressable as a typed span over the mmap-ed file.
+/// to an 8-byte boundary relative to the start of the buffer. No reader needs
+/// the padding; it is part of the v3 container bytes.
 class BinaryWriter {
  public:
   void WriteU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }
@@ -59,11 +56,6 @@ class BinaryWriter {
   /// the element payload starts on an 8-byte boundary.
   template <typename T>
   void WritePodVector(const std::vector<T>& v) {
-    WritePodSpan(std::span<const T>(v.data(), v.size()));
-  }
-
-  template <typename T>
-  void WritePodSpan(std::span<const T> v) {
     static_assert(std::is_trivially_copyable_v<T>);
     WriteVarint(v.size());
     if (aligned_ && sizeof(T) > 1) AlignTo(8);
@@ -86,7 +78,7 @@ class BinaryWriter {
   void PatchU32(size_t offset, uint32_t v) { PatchRaw(offset, &v, sizeof(v)); }
   void PatchU64(size_t offset, uint64_t v) { PatchRaw(offset, &v, sizeof(v)); }
 
-  /// True iff this writer pads pod payloads for in-place mapping.
+  /// True iff this writer pads pod payloads to 8-byte boundaries.
   bool aligned() const { return aligned_; }
   void set_aligned(bool aligned) { aligned_ = aligned; }
 
@@ -113,12 +105,6 @@ class BinaryWriter {
 /// garbage snapshot can never crash the loader. Element counts are checked
 /// against the bytes actually remaining before any allocation, so a corrupt
 /// count cannot trigger a huge resize.
-///
-/// A reader over an mmap-ed snapshot sets views_allowed(): ReadPodColumn
-/// then hands out zero-copy spans over the mapping instead of copying,
-/// provided the payload is suitably aligned (guaranteed by the v3 writer,
-/// re-checked at runtime so a doctored file degrades to a copy, never to a
-/// misaligned load).
 class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
@@ -137,41 +123,24 @@ class BinaryReader {
   /// underlying bytes live.
   Status ReadStringView(std::string_view* out);
 
+  /// Varint count + one bulk copy of the elements, skipping the writer's
+  /// pad bytes in aligned mode.
   template <typename T>
   Status ReadPodVector(std::vector<T>* out) {
     static_assert(std::is_trivially_copyable_v<T>);
     uint64_t count = 0;
-    std::span<const T> payload;
-    GANSWER_RETURN_NOT_OK(ReadPodPayload<T>(&count, &payload));
+    GANSWER_RETURN_NOT_OK(ReadVarint(&count));
+    if (aligned_ && sizeof(T) > 1) GANSWER_RETURN_NOT_OK(SkipAlignment(8));
+    if (count > remaining() / sizeof(T)) {
+      return Status::Corruption("vector count exceeds remaining bytes");
+    }
     out->resize(count);
     // memcpy requires non-null pointers even for zero bytes, and an empty
     // vector's data() may be null.
     if (count != 0) {
-      std::memcpy(out->data(), payload.data(), count * sizeof(T));
+      std::memcpy(out->data(), data_.data() + pos_, count * sizeof(T));
     }
-    return Status::Ok();
-  }
-
-  /// Reads a pod vector into a column: a zero-copy view over the input when
-  /// views_allowed() and the payload happens to be aligned for T, an owned
-  /// copy otherwise. Callers opting into views keep the backing bytes alive
-  /// for the life of the column (the snapshot bundle pins its mapping).
-  template <typename T>
-  Status ReadPodColumn(PodColumn<T>* out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    uint64_t count = 0;
-    std::span<const T> payload;
-    GANSWER_RETURN_NOT_OK(ReadPodPayload<T>(&count, &payload));
-    if (views_allowed_ &&
-        reinterpret_cast<uintptr_t>(payload.data()) % alignof(T) == 0) {
-      out->AssignView(payload);
-    } else {
-      std::vector<T> copy(count);
-      if (count != 0) {
-        std::memcpy(copy.data(), payload.data(), count * sizeof(T));
-      }
-      out->Assign(std::move(copy));
-    }
+    pos_ += count * sizeof(T);
     return Status::Ok();
   }
 
@@ -180,26 +149,11 @@ class BinaryReader {
   /// Mirrors BinaryWriter::set_aligned: skip the writer's pad bytes before
   /// pod payloads. Must match the writer that produced the bytes.
   void set_aligned(bool aligned) { aligned_ = aligned; }
-  /// Permits ReadPodColumn to view the input instead of copying.
-  void set_views_allowed(bool allowed) { views_allowed_ = allowed; }
 
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 
  private:
-  template <typename T>
-  Status ReadPodPayload(uint64_t* count, std::span<const T>* payload) {
-    GANSWER_RETURN_NOT_OK(ReadVarint(count));
-    if (aligned_ && sizeof(T) > 1) GANSWER_RETURN_NOT_OK(SkipAlignment(8));
-    if (*count > remaining() / sizeof(T)) {
-      return Status::Corruption("vector count exceeds remaining bytes");
-    }
-    *payload = std::span<const T>(
-        reinterpret_cast<const T*>(data_.data() + pos_), *count);
-    pos_ += *count * sizeof(T);
-    return Status::Ok();
-  }
-
   Status SkipAlignment(size_t alignment) {
     size_t pad = (alignment - pos_ % alignment) % alignment;
     return Skip(pad);
@@ -222,7 +176,6 @@ class BinaryReader {
   std::string_view data_;
   size_t pos_ = 0;
   bool aligned_ = false;
-  bool views_allowed_ = false;
 };
 
 }  // namespace ganswer

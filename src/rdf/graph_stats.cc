@@ -61,12 +61,12 @@ GraphStats GraphStats::Compute(const RdfGraph& graph) {
     instance_counts.push_back(graph.InstancesOf(v).size());
   }
 
-  stats.predicates_.Assign(std::move(predicates));
-  stats.triples_.Assign(std::move(triples));
-  stats.distinct_subjects_.Assign(std::move(distinct_subjects));
-  stats.distinct_objects_.Assign(std::move(distinct_objects));
-  stats.classes_.Assign(std::move(classes));
-  stats.instance_counts_.Assign(std::move(instance_counts));
+  stats.predicates_ = std::move(predicates);
+  stats.triples_ = std::move(triples);
+  stats.distinct_subjects_ = std::move(distinct_subjects);
+  stats.distinct_objects_ = std::move(distinct_objects);
+  stats.classes_ = std::move(classes);
+  stats.instance_counts_ = std::move(instance_counts);
   return stats;
 }
 
@@ -123,30 +123,18 @@ double GraphStats::AvgSubjectsPerObject(TermId p) const {
          static_cast<double>(distinct_objects_[slot]);
 }
 
-size_t GraphStats::heap_bytes() const {
-  return predicates_.heap_bytes() + triples_.heap_bytes() +
-         distinct_subjects_.heap_bytes() + distinct_objects_.heap_bytes() +
-         classes_.heap_bytes() + instance_counts_.heap_bytes();
-}
-
-size_t GraphStats::view_bytes() const {
-  return predicates_.view_bytes() + triples_.view_bytes() +
-         distinct_subjects_.view_bytes() + distinct_objects_.view_bytes() +
-         classes_.view_bytes() + instance_counts_.view_bytes();
-}
-
 Status GraphStats::SaveBinary(BinaryWriter* out) const {
   if (out == nullptr) return Status::InvalidArgument("null writer");
   out->WriteU64(num_triples_);
   out->WriteU64(num_vertices_);
   out->WriteU64(subjects_with_out_);
   out->WriteU64(objects_with_in_);
-  out->WritePodSpan(predicates_.span());
-  out->WritePodSpan(triples_.span());
-  out->WritePodSpan(distinct_subjects_.span());
-  out->WritePodSpan(distinct_objects_.span());
-  out->WritePodSpan(classes_.span());
-  out->WritePodSpan(instance_counts_.span());
+  out->WritePodVector(predicates_);
+  out->WritePodVector(triples_);
+  out->WritePodVector(distinct_subjects_);
+  out->WritePodVector(distinct_objects_);
+  out->WritePodVector(classes_);
+  out->WritePodVector(instance_counts_);
   return Status::Ok();
 }
 
@@ -156,12 +144,12 @@ Status GraphStats::LoadBinary(BinaryReader* in) {
   GANSWER_RETURN_NOT_OK(in->ReadU64(&num_vertices_));
   GANSWER_RETURN_NOT_OK(in->ReadU64(&subjects_with_out_));
   GANSWER_RETURN_NOT_OK(in->ReadU64(&objects_with_in_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&predicates_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&triples_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&distinct_subjects_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&distinct_objects_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&classes_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&instance_counts_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&predicates_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&triples_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&distinct_subjects_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&distinct_objects_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&classes_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&instance_counts_));
   return Validate();
 }
 

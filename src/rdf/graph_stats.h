@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/pod_column.h"
 #include "common/status.h"
 #include "rdf/rdf_graph.h"
 
@@ -20,8 +19,7 @@ namespace rdf {
 /// (what an `?x rdf:type <C>` pattern actually yields). Global: average
 /// out/in fan-out over vertices that have edges at all. Everything is a
 /// plain sorted column, so lookups are binary searches and the whole object
-/// round-trips through the snapshot as POD vectors, zero-copy over an
-/// mmap-ed section.
+/// round-trips through the snapshot as POD vectors.
 ///
 /// Statistics only steer *ordering* decisions, never filtering: a planner
 /// consulting a stale or empty GraphStats still returns exact results, just
@@ -66,10 +64,6 @@ class GraphStats {
   /// the key arrays are sorted and the column lengths agree.
   Status LoadBinary(BinaryReader* in);
 
-  /// Heap / mapped bytes pinned by the columns (snapshot accounting).
-  size_t heap_bytes() const;
-  size_t view_bytes() const;
-
   friend bool operator==(const GraphStats&, const GraphStats&) = default;
 
  private:
@@ -83,13 +77,13 @@ class GraphStats {
   // Columnar per-predicate records, keyed by the sorted predicates_ column
   // (parallel columns rather than a struct so the snapshot bytes contain no
   // padding and the section is deterministic).
-  PodColumn<TermId> predicates_;  // ascending
-  PodColumn<uint64_t> triples_;
-  PodColumn<uint64_t> distinct_subjects_;
-  PodColumn<uint64_t> distinct_objects_;
+  std::vector<TermId> predicates_;  // ascending
+  std::vector<uint64_t> triples_;
+  std::vector<uint64_t> distinct_subjects_;
+  std::vector<uint64_t> distinct_objects_;
   // Per-class instance counts, keyed by the sorted classes_ column.
-  PodColumn<TermId> classes_;  // ascending
-  PodColumn<uint64_t> instance_counts_;
+  std::vector<TermId> classes_;  // ascending
+  std::vector<uint64_t> instance_counts_;
 };
 
 }  // namespace rdf

@@ -12,8 +12,9 @@ namespace {
 
 // A CSR offset array must have one entry per vertex plus one, start at 0,
 // be non-decreasing, and end at the edge count.
-Status ValidateOffsets(const PodColumn<uint64_t>& offsets, size_t num_vertices,
-                       size_t num_edges, const char* which) {
+Status ValidateOffsets(const std::vector<uint64_t>& offsets,
+                       size_t num_vertices, size_t num_edges,
+                       const char* which) {
   if (offsets.size() != num_vertices + 1 || offsets.front() != 0 ||
       offsets.back() != num_edges) {
     return Status::Corruption(std::string(which) + " offset array malformed");
@@ -47,7 +48,7 @@ RdfGraph::RdfGraph(std::shared_ptr<const GraphOverlay> overlay,
   max_degree_ = overlay_->max_degree;
   // The merged predicate list is small; own a copy so Predicates() and
   // NumPredicates() need no overlay branch.
-  predicates_.Assign(std::vector<TermId>(overlay_->predicates));
+  predicates_ = overlay_->predicates;
   finalized_ = true;
 }
 
@@ -158,12 +159,12 @@ Status RdfGraph::Finalize() {
     }
   }
 
-  out_edges_.Assign(std::move(out_edges));
-  out_offsets_.Assign(std::move(out_offsets));
-  in_edges_.Assign(std::move(in_edges));
-  in_offsets_.Assign(std::move(in_offsets));
-  predicates_.Assign(std::move(predicates));
-  predicate_freq_.Assign(std::move(predicate_freq));
+  out_edges_ = std::move(out_edges);
+  out_offsets_ = std::move(out_offsets);
+  in_edges_ = std::move(in_edges);
+  in_offsets_ = std::move(in_offsets);
+  predicates_ = std::move(predicates);
+  predicate_freq_ = std::move(predicate_freq);
 
   finalized_ = true;
   return Status::Ok();
@@ -302,27 +303,6 @@ std::vector<TermId> RdfGraph::InstancesOf(TermId cls) const {
   return result;
 }
 
-size_t RdfGraph::heap_bytes() const {
-  if (overlay_ != nullptr) {
-    // The base's bytes are reported by its own snapshot accounting; this
-    // graph pins the extension dictionary, its predicate list and the
-    // delta runs/maps.
-    return dict_.heap_bytes() + predicates_.heap_bytes() +
-           overlay_->approx_bytes;
-  }
-  return dict_.heap_bytes() + out_edges_.heap_bytes() +
-         out_offsets_.heap_bytes() + in_edges_.heap_bytes() +
-         in_offsets_.heap_bytes() + predicates_.heap_bytes() +
-         predicate_freq_.heap_bytes() + is_class_.size() / 8;
-}
-
-size_t RdfGraph::view_bytes() const {
-  if (overlay_ != nullptr) return overlay_->base->view_bytes();
-  return out_edges_.view_bytes() + out_offsets_.view_bytes() +
-         in_edges_.view_bytes() + in_offsets_.view_bytes() +
-         predicates_.view_bytes() + predicate_freq_.view_bytes();
-}
-
 Status RdfGraph::SaveBinary(BinaryWriter* out) const {
   if (!finalized_) {
     return Status::InvalidArgument("SaveBinary requires a finalized graph");
@@ -337,13 +317,13 @@ Status RdfGraph::SaveBinary(BinaryWriter* out) const {
   out->WriteU32(type_pred_);
   out->WriteU32(subclass_pred_);
   out->WriteU32(label_pred_);
-  out->WritePodSpan(out_edges_.span());
-  out->WritePodSpan(out_offsets_.span());
-  out->WritePodSpan(in_edges_.span());
-  out->WritePodSpan(in_offsets_.span());
+  out->WritePodVector(out_edges_);
+  out->WritePodVector(out_offsets_);
+  out->WritePodVector(in_edges_);
+  out->WritePodVector(in_offsets_);
   out->WriteBoolVector(is_class_);
-  out->WritePodSpan(predicates_.span());
-  out->WritePodSpan(predicate_freq_.span());
+  out->WritePodVector(predicates_);
+  out->WritePodVector(predicate_freq_);
   return Status::Ok();
 }
 
@@ -355,13 +335,13 @@ Status RdfGraph::LoadBinary(BinaryReader* in) {
   GANSWER_RETURN_NOT_OK(in->ReadU32(&type_pred_));
   GANSWER_RETURN_NOT_OK(in->ReadU32(&subclass_pred_));
   GANSWER_RETURN_NOT_OK(in->ReadU32(&label_pred_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&out_edges_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&out_offsets_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&in_edges_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&in_offsets_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&out_edges_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&out_offsets_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&in_edges_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&in_offsets_));
   GANSWER_RETURN_NOT_OK(in->ReadBoolVector(&is_class_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&predicates_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&predicate_freq_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&predicates_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&predicate_freq_));
   num_triples_ = num_triples;
   max_degree_ = max_degree;
   return ValidateLoaded();
@@ -384,7 +364,7 @@ Status RdfGraph::ValidateLoaded() {
       in_offsets_.size() != out_offsets_.size()) {
     return Status::Corruption("graph auxiliary array sizes inconsistent");
   }
-  for (const PodColumn<Edge>* edges : {&out_edges_, &in_edges_}) {
+  for (const std::vector<Edge>* edges : {&out_edges_, &in_edges_}) {
     for (const Edge& e : *edges) {
       if (e.predicate >= n || e.neighbor >= n) {
         return Status::Corruption("graph edge references unknown vertex");

@@ -9,7 +9,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/pod_column.h"
 #include "common/status.h"
 #include "rdf/term_dictionary.h"
 #include "rdf/triple.h"
@@ -67,8 +66,6 @@ struct GraphOverlay {
   /// Monotone upper bound on the true max degree (deletes do not shrink
   /// it); made exact again at compaction. Only /stats reports it.
   size_t max_degree = 0;
-  /// Approximate heap bytes pinned by the runs and maps (for /stats).
-  size_t approx_bytes = 0;
 };
 
 /// \brief In-memory RDF graph: dictionary-encoded triples with per-vertex
@@ -83,12 +80,6 @@ struct GraphOverlay {
 /// structure is immutable, so concurrent readers (the parallel miner and
 /// matcher) share it without locks, and a hop touches one contiguous cache
 /// run instead of chasing a per-vertex heap allocation.
-///
-/// The CSR arrays are PodColumns: a graph loaded from an mmap-ed snapshot
-/// serves adjacency straight out of the file mapping (pages fault in on
-/// first touch), while a built or bulk-loaded graph owns its arrays on the
-/// heap. AddTriple + re-Finalize after an mmap-backed load transparently
-/// migrates the columns to owned storage.
 ///
 /// Vertex ids are TermIds from the owned TermDictionary, so graph ids and
 /// dictionary ids can be used interchangeably.
@@ -162,7 +153,7 @@ class RdfGraph {
   std::vector<TermId> Subjects(TermId p, TermId o) const;
 
   /// All distinct predicate ids used by at least one triple.
-  std::span<const TermId> Predicates() const { return predicates_.span(); }
+  std::span<const TermId> Predicates() const { return predicates_; }
 
   /// True when \p v names a class: it appears as the object of an rdf:type
   /// triple or on either side of rdfs:subClassOf.
@@ -205,22 +196,13 @@ class RdfGraph {
   TermId subclass_predicate() const { return subclass_pred_; }
   TermId label_predicate() const { return label_pred_; }
 
-  /// Heap bytes pinned by the CSR columns and dictionary text storage, and
-  /// bytes served zero-copy out of a snapshot mapping. Used by /stats to
-  /// report mapped-vs-heap footprint.
-  size_t heap_bytes() const;
-  size_t view_bytes() const;
-
   /// Snapshot serialization of a finalized graph: the term dictionary plus
   /// the flat CSR arrays and class bitmap, so loading restores a servable
   /// graph with bulk reads — no re-interning, no re-sorting, no Finalize().
-  /// Every column is a raw pod array, so a mapped snapshot serves it in
-  /// place.
   Status SaveBinary(BinaryWriter* out) const;
   /// Replaces the contents with a previously saved graph; the loaded graph
   /// is immediately finalized. Structural invariants (offset monotonicity,
-  /// edge bounds) are validated so a corrupt payload is rejected. A payload
-  /// read through a view-allowing reader stays zero-copy.
+  /// edge bounds) are validated so a corrupt payload is rejected.
   Status LoadBinary(BinaryReader* in);
 
  private:
@@ -231,13 +213,13 @@ class RdfGraph {
   // CSR adjacency: edges of vertex v live in *_edges_[*_offsets_[v] ..
   // *_offsets_[v + 1]), sorted by (predicate, neighbor). Offset arrays have
   // num_vertices + 1 entries; empty before the first Finalize().
-  PodColumn<Edge> out_edges_;
-  PodColumn<uint64_t> out_offsets_;
-  PodColumn<Edge> in_edges_;
-  PodColumn<uint64_t> in_offsets_;
+  std::vector<Edge> out_edges_;
+  std::vector<uint64_t> out_offsets_;
+  std::vector<Edge> in_edges_;
+  std::vector<uint64_t> in_offsets_;
   std::vector<bool> is_class_;
-  PodColumn<TermId> predicates_;
-  PodColumn<uint64_t> predicate_freq_;  // indexed by TermId, 0 if not a pred
+  std::vector<TermId> predicates_;
+  std::vector<uint64_t> predicate_freq_;  // indexed by TermId, 0 if not a pred
   size_t num_triples_ = 0;
   size_t max_degree_ = 0;
   bool finalized_ = false;

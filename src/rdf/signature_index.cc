@@ -7,16 +7,14 @@ namespace rdf {
 
 SignatureIndex::SignatureIndex(const RdfGraph& graph) {
   size_t n = graph.dict().size();
-  std::vector<Signature> out(n, 0);
-  std::vector<Signature> in(n, 0);
+  out_.assign(n, 0);
+  in_.assign(n, 0);
   for (TermId v = 0; v < n; ++v) {
     for (const Edge& e : graph.OutEdges(v)) {
-      out[v] |= PredicateBit(e.predicate);
-      in[e.neighbor] |= PredicateBit(e.predicate);
+      out_[v] |= PredicateBit(e.predicate);
+      in_[e.neighbor] |= PredicateBit(e.predicate);
     }
   }
-  out_.Assign(std::move(out));
-  in_.Assign(std::move(in));
 }
 
 SignatureIndex SignatureIndex::BuildOverlay(
@@ -47,14 +45,14 @@ SignatureIndex::Signature SignatureIndex::PredicateBit(TermId p) {
 }
 
 void SignatureIndex::SaveBinary(BinaryWriter* out) const {
-  out->WritePodSpan(out_.span());
-  out->WritePodSpan(in_.span());
+  out->WritePodVector(out_);
+  out->WritePodVector(in_);
 }
 
 StatusOr<SignatureIndex> SignatureIndex::LoadBinary(BinaryReader* in) {
   SignatureIndex index;
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&index.out_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&index.in_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&index.out_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&index.in_));
   if (index.out_.size() != index.in_.size()) {
     return Status::Corruption("signature arrays differ in length");
   }

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/pod_column.h"
 #include "common/status.h"
 #include "rdf/rdf_graph.h"
 
@@ -73,12 +72,7 @@ class SignatureIndex {
     return base_ != nullptr ? num_vertices_ : out_.size();
   }
 
-  /// Heap / mapped bytes pinned by the signature columns.
-  size_t heap_bytes() const { return out_.heap_bytes() + in_.heap_bytes(); }
-  size_t view_bytes() const { return out_.view_bytes() + in_.view_bytes(); }
-
-  /// Snapshot serialization: the two per-vertex signature arrays as-is
-  /// (zero-copy over an mmap-ed section).
+  /// Snapshot serialization: the two per-vertex signature arrays as-is.
   void SaveBinary(BinaryWriter* out) const;
   /// Restores an index previously saved with SaveBinary, skipping the
   /// per-edge rebuild of the graph constructor.
@@ -87,8 +81,8 @@ class SignatureIndex {
  private:
   SignatureIndex() = default;  // empty shell for LoadBinary / BuildOverlay
 
-  PodColumn<Signature> out_;
-  PodColumn<Signature> in_;
+  std::vector<Signature> out_;
+  std::vector<Signature> in_;
   // Overlay mode: touched-vertex (out, in) signature pairs over a shared
   // immutable base. Null base_ (the common case) keeps the flat fast path.
   std::shared_ptr<const SignatureIndex> base_;

@@ -33,17 +33,12 @@ TermId TermDictionary::Intern(std::string_view text, TermKind kind) {
     if (base_it != base_->index_.end()) return base_it->second;
   }
   TermId id = static_cast<TermId>(size());
-  // Interning migrates mmap-backed columns to owned storage first. Append
-  // from the key (which embeds a copy of the text) rather than from the
-  // caller's view: the view may alias this very arena, which is about to
+  // Append from the key (which embeds a copy of the text) rather than from
+  // the caller's view: the view may alias this very arena, which is about to
   // reallocate.
-  std::vector<char>& arena = arena_.owned();
-  arena.insert(arena.end(), key.begin() + 1, key.end());
-  arena_.Publish();
-  offsets_.owned().push_back(arena.size());
-  offsets_.Publish();
-  kinds_.owned().push_back(static_cast<uint8_t>(kind));
-  kinds_.Publish();
+  arena_.insert(arena_.end(), key.begin() + 1, key.end());
+  offsets_.push_back(arena_.size());
+  kinds_.push_back(static_cast<uint8_t>(kind));
   index_.emplace(std::move(key), id);
   return id;
 }
@@ -61,18 +56,17 @@ std::optional<TermId> TermDictionary::Lookup(std::string_view text,
 }
 
 void TermDictionary::SaveBinary(BinaryWriter* out) const {
-  out->WritePodSpan(offsets_.span());
+  out->WritePodVector(offsets_);
   out->WriteString(std::string_view(arena_.data(), arena_.size()));
-  out->WritePodSpan(kinds_.span());
+  out->WritePodVector(kinds_);
 }
 
 Status TermDictionary::LoadBinary(BinaryReader* in) {
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&offsets_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&offsets_));
   // The arena is a length-prefixed byte run — identical layout to a pod
-  // column of char, so the column read applies and stays zero-copy under an
-  // mmap-backed reader.
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&arena_));
-  GANSWER_RETURN_NOT_OK(in->ReadPodColumn(&kinds_));
+  // vector of char, so the pod read applies.
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&arena_));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&kinds_));
   return RebuildIndex();
 }
 

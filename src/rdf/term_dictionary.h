@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/pod_column.h"
 #include "common/status.h"
 
 namespace ganswer {
@@ -35,10 +34,7 @@ enum class TermKind : uint8_t { kIri = 0, kLiteral = 1 };
 /// subject/predicate/object once and the engine works on dense uint32 ids,
 /// in the style of every disk-based RDF store (RDF-3X, gStore, Virtuoso).
 ///
-/// Term texts live in one contiguous arena addressed by an offset column;
-/// both are PodColumns, so a dictionary loaded from an mmap-ed snapshot
-/// serves text() straight out of the file mapping. Interning after such a
-/// load first migrates the columns to owned storage.
+/// Term texts live in one contiguous arena addressed by an offset column.
 ///
 /// EXTENSION MODE (the live-update delta layer): InitExtension(base) turns a
 /// freshly constructed dictionary into an overlay over an immutable \p base.
@@ -49,7 +45,7 @@ enum class TermKind : uint8_t { kIri = 0, kLiteral = 1 };
 /// re-interns every term into a flat dictionary in id order instead).
 class TermDictionary {
  public:
-  TermDictionary() { offsets_.Assign({0}); }
+  TermDictionary() : offsets_{0} {}
 
   // Movable, not copyable: the dictionary backs id stability for a graph.
   TermDictionary(const TermDictionary&) = delete;
@@ -84,8 +80,7 @@ class TermDictionary {
   size_t base_size() const { return base_size_; }
 
   /// Text of term \p id. \p id must be valid. The view is stable for the
-  /// life of the dictionary (or its backing snapshot mapping) as long as no
-  /// further Intern happens.
+  /// life of the dictionary as long as no further Intern happens.
   std::string_view text(TermId id) const {
     if (id < base_size_) return base_->text(id);
     id -= static_cast<TermId>(base_size_);
@@ -104,28 +99,19 @@ class TermDictionary {
   /// Number of interned terms; valid ids are [0, size()).
   size_t size() const { return base_size_ + kinds_.size(); }
 
-  /// Heap bytes pinned by the text storage (0 when fully mmap-backed; the
-  /// hash index always lives on the heap and is reported separately by the
-  /// snapshot accounting).
-  size_t heap_bytes() const {
-    return arena_.heap_bytes() + offsets_.heap_bytes() + kinds_.heap_bytes();
-  }
-
   /// Snapshot serialization: one contiguous string arena + an offset array
   /// + the kind array, so the matching load is three bulk reads.
   void SaveBinary(BinaryWriter* out) const;
   /// Replaces the contents with a previously saved dictionary. Term ids are
   /// preserved exactly; the lookup index is rebuilt in one reserving pass.
-  /// When the reader allows views, the arena/offset/kind columns stay
-  /// zero-copy over the input bytes.
   Status LoadBinary(BinaryReader* in);
 
  private:
   Status RebuildIndex();
 
-  PodColumn<char> arena_;
-  PodColumn<uint64_t> offsets_;  // local count + 1 entries; offsets_[0] == 0
-  PodColumn<uint8_t> kinds_;
+  std::vector<char> arena_;
+  std::vector<uint64_t> offsets_;  // local count + 1 entries; offsets_[0] == 0
+  std::vector<uint8_t> kinds_;
   std::unordered_map<std::string, TermId> index_;  // key -> GLOBAL id
   // Extension mode (see class comment). The base stays un-Interned and is
   // kept alive by the caller; base_size_ caches base_->size() so the hot

@@ -95,7 +95,6 @@ Status QaService::Start() {
   kb_options.question_cache_capacity = options_.question_cache_capacity;
   kb_options.compact_threshold = options_.live_compact_threshold;
   kb_options.max_batch_ops = options_.update_max_triples;
-  kb_options.mmap_base = options_.mmap_load;
   // Per-question matching stays serial: parallelism comes from answering
   // many requests at once on the worker pool, not from splitting one.
   kb_options.qa.matching.exec.threads = 1;
@@ -116,8 +115,7 @@ Status QaService::Start() {
   started_ = true;
   std::shared_ptr<const store::live::KbView> view = kb_->view();
   GANSWER_LOG(Info) << "qa service up: " << view->graph().NumTriples()
-                    << " triples at epoch " << view->epoch() << ", "
-                    << (options_.mmap_load ? "mapped" : "read") << " in "
+                    << " triples at epoch " << view->epoch() << ", loaded in "
                     << load_ms << " ms, " << pool_->size()
                     << " worker(s), max queue " << options_.max_queue;
   return Status::Ok();
@@ -448,18 +446,10 @@ void QaService::HandleStats(const HttpServer::ResponseWriter& writer) {
       .Field("connections_accepted", http_->connections_accepted())
       .Field("requests_in_flight", http_->requests_in_flight())
       .EndObject();
-  const store::Snapshot& base = view->base();
-  w.Key("storage").BeginObject();
-  w.Field("mode", base.mapping ? "mmap" : "read")
-      .Field("file_bytes",
-             static_cast<int64_t>(base.mapping ? base.mapping->size() : 0))
-      .Field("mapped_bytes", static_cast<int64_t>(base.column_mapped_bytes()))
-      .Field("heap_bytes", static_cast<int64_t>(base.column_heap_bytes()))
-      .EndObject();
   // The base snapshot's statistics (the ones steering candidate build and
   // plan order); the live triple count is in /healthz, the delta size in
   // the ingest section.
-  const rdf::GraphStats& graph_stats = *base.stats;
+  const rdf::GraphStats& graph_stats = *view->base().stats;
   w.Key("graph").BeginObject();
   w.Field("triples", static_cast<int64_t>(graph_stats.num_triples()))
       .Field("vertices", static_cast<int64_t>(graph_stats.num_vertices()))

@@ -97,10 +97,6 @@ class QaService {
     size_t live_compact_threshold = 0;
     /// Admission bound for POST /update: max operations per batch.
     size_t update_max_triples = 100000;
-    /// Map the snapshot instead of reading it: the pod columns are served
-    /// zero-copy out of the file mapping, so startup skips the bulk copy
-    /// and resident memory only grows with the pages queries touch.
-    bool mmap_load = false;
     std::string bind_address = "127.0.0.1";
     /// 0 picks an ephemeral port (tests); read back via port().
     int port = 8080;

@@ -163,7 +163,6 @@ DeltaGraph::View DeltaGraph::BuildView() {
   overlay->predicate_freq = pred_freq_;
   overlay->num_triples = num_triples_;
   overlay->max_degree = max_degree_;
-  overlay->approx_bytes = published_bytes_;
   {
     // Merged predicate list: base predicates minus the ones the delta
     // drained to zero, plus the ones it introduced, ascending.

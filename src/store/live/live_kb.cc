@@ -193,9 +193,7 @@ Status LiveKb::OpenLocked() {
 
 StatusOr<std::shared_ptr<const Snapshot>> LiveKb::ReadBase(
     const std::string& path) const {
-  auto loaded = ReadSnapshotFile(
-      path, options_.lexicon,
-      options_.mmap_base ? SnapshotLoadMode::kMmap : SnapshotLoadMode::kRead);
+  auto loaded = ReadSnapshotFile(path, options_.lexicon);
   if (!loaded.ok()) return loaded.status();
   return std::make_shared<const Snapshot>(std::move(loaded).value());
 }

@@ -126,8 +126,6 @@ class LiveKb {
     bool background_compaction = true;
     /// Admission bound: one batch may carry at most this many operations.
     size_t max_batch_ops = 100000;
-    /// Load base snapshots via mmap (zero-copy) instead of bulk read.
-    bool mmap_base = false;
   };
 
   /// Cumulative ingestion counters for /stats.

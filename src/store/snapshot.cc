@@ -1,8 +1,13 @@
 #include "store/snapshot.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <memory>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -18,7 +23,8 @@ namespace {
 //     { id u32, encoding u32 (always 0, raw), offset u64, size u64,
 //       crc32 u32 }
 //   section payloads (offsets are absolute, payloads contiguous and start
-//   on 8-byte boundaries so raw pod arrays are mappable in place)
+//   on 8-byte boundaries: no reader needs the alignment, but it is part of
+//   the v3 bytes, so the writer keeps it and the reader checks it)
 // The fingerprint is the CRC32 of the section table, i.e. of all section
 // CRCs — a cheap stable identity for the whole container.
 constexpr char kMagic[8] = {'G', 'A', 'N', 'S', 'S', 'N', 'A', 'P'};
@@ -161,12 +167,48 @@ Status WriteSnapshotFile(const rdf::RdfGraph& graph,
 
 namespace {
 
-// The shared loader. \p views_allowed is only set for mmap-backed callers,
-// which pin the byte range in the returned Snapshot; the in-memory
-// ReadSnapshot always copies.
-StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
-                                    const nlp::Lexicon* lexicon,
-                                    bool views_allowed) {
+// Fills \p out with the whole file at \p path: one buffer sized from the
+// file's fstat size, filled by a read loop. A file that ends before that
+// size is a short read.
+Status ReadWholeFile(const std::string& path, std::string* out) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IoError("cannot open '" + path +
+                           "': " + std::strerror(errno));
+  }
+  std::unique_ptr<int, void (*)(int*)> close_fd(&fd,
+                                                [](int* f) { ::close(*f); });
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    return Status::IoError("cannot stat '" + path +
+                           "': " + std::strerror(errno));
+  }
+  if (S_ISDIR(st.st_mode)) {
+    return Status::IoError("cannot read '" + path + "': is a directory");
+  }
+  out->resize(static_cast<size_t>(st.st_size));
+  size_t done = 0;
+  while (done < out->size()) {
+    ssize_t n = ::read(fd, out->data() + done, out->size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError("read error on '" + path +
+                             "': " + std::strerror(errno));
+    }
+    if (n == 0) {
+      return Status::IoError("short read on '" + path + "': " +
+                             std::to_string(done) + " of " +
+                             std::to_string(out->size()) + " bytes");
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+StatusOr<Snapshot> ReadSnapshot(std::string_view bytes,
+                                const nlp::Lexicon* lexicon) {
   if (lexicon == nullptr) return Status::InvalidArgument("null lexicon");
   if (bytes.size() < sizeof(kMagic) ||
       std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
@@ -239,7 +281,6 @@ StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
   auto section_reader = [&](std::string_view payload) {
     BinaryReader r(payload);
     r.set_aligned(true);
-    r.set_views_allowed(views_allowed);
     return r;
   };
 
@@ -293,49 +334,10 @@ StatusOr<Snapshot> ReadSnapshotImpl(std::string_view bytes,
   return snapshot;
 }
 
-}  // namespace
-
-size_t Snapshot::column_heap_bytes() const {
-  size_t n = 0;
-  if (graph) n += graph->heap_bytes();
-  if (signatures) n += signatures->heap_bytes();
-  if (stats) n += stats->heap_bytes();
-  return n;
-}
-
-size_t Snapshot::column_mapped_bytes() const {
-  size_t n = 0;
-  if (graph) n += graph->view_bytes();
-  if (signatures) n += signatures->view_bytes();
-  if (stats) n += stats->view_bytes();
-  return n;
-}
-
-StatusOr<Snapshot> ReadSnapshot(std::string_view bytes,
-                                const nlp::Lexicon* lexicon) {
-  return ReadSnapshotImpl(bytes, lexicon, /*views_allowed=*/false);
-}
-
 StatusOr<Snapshot> ReadSnapshotFile(const std::string& path,
-                                    const nlp::Lexicon* lexicon,
-                                    SnapshotLoadMode mode) {
-  if (mode == SnapshotLoadMode::kMmap) {
-    std::shared_ptr<MmapFile> mapping;
-    GANSWER_RETURN_NOT_OK(MmapFile::Open(path, &mapping));
-    auto snapshot =
-        ReadSnapshotImpl(mapping->view(), lexicon, /*views_allowed=*/true);
-    if (!snapshot.ok()) return snapshot.status();
-    snapshot->mapping = std::move(mapping);
-    return snapshot;
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) {
-    return Status::IoError("read error on '" + path + "'");
-  }
-  std::string bytes = std::move(buffer).str();
+                                    const nlp::Lexicon* lexicon) {
+  std::string bytes;
+  GANSWER_RETURN_NOT_OK(ReadWholeFile(path, &bytes));
   return ReadSnapshot(bytes, lexicon);
 }
 

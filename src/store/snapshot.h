@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/mmap_file.h"
 #include "common/status.h"
 #include "linking/entity_index.h"
 #include "nlp/lexicon.h"
@@ -21,25 +20,18 @@ namespace store {
 /// Container format version. Bumped whenever a section's binary layout
 /// changes or a section is added. Version 2 added the graph-statistics
 /// section (rdf/graph_stats.h). Version 3 added a per-section encoding field,
-/// 8-aligned section payloads and alignment-padded pod arrays, making every
-/// section directly mappable. Version 3 is the only format this binary
-/// writes or reads: older containers and versions newer than this binary's
-/// are rejected with a "rebuild the snapshot" status.
+/// 8-aligned section payloads and alignment-padded pod arrays (no reader
+/// needs the alignment; it is part of the v3 bytes). Version 3 is the only
+/// format this binary writes or reads: older containers and versions newer
+/// than this binary's are rejected with a "rebuild the snapshot" status.
 inline constexpr uint32_t kSnapshotVersion = 3;
 inline constexpr uint32_t kMinSupportedSnapshotVersion = 3;
 
 /// The section table's encoding field. Raw sections are the pod layouts the
-/// in-memory structures use directly (zero-copy under mmap). Raw is the
-/// only encoding: the writer always stores it and the reader rejects any
-/// other value with a "rebuild the snapshot" status.
+/// in-memory structures use, copied in with bulk reads. Raw is the only
+/// encoding: the writer always stores it and the reader rejects any other
+/// value with a "rebuild the snapshot" status.
 enum class SectionEncoding : uint32_t { kRaw = 0 };
-
-/// How ReadSnapshotFile gets the bytes into memory. kRead slurps the file
-/// into an owned buffer and copies sections into heap structures. kMmap
-/// maps the file and serves raw sections zero-copy out of the mapping —
-/// cold start is page-fault driven, resident footprint is only what queries
-/// actually touch, and the returned Snapshot pins the mapping.
-enum class SnapshotLoadMode { kRead = 0, kMmap = 1 };
 
 /// \brief Everything the online phase needs, reconstructed from one
 /// snapshot: the finalized graph, both offline indexes and the paraphrase
@@ -58,18 +50,6 @@ struct Snapshot {
   /// checksums). Two byte-identical snapshots share a fingerprint; use it
   /// to invalidate caches keyed on snapshot data.
   uint64_t fingerprint = 0;
-  /// Keepalive for zero-copy loads: every span-backed column above views
-  /// this mapping. Null for bulk reads. Ordered after the structures so it
-  /// is destroyed last.
-  std::shared_ptr<MmapFile> mapping;
-
-  /// Heap bytes pinned by the column-backed structures (graph CSR + term
-  /// storage, signatures, stats). The hash indexes (entity postings,
-  /// dictionary, term lookup map) always live on the heap and are not
-  /// counted here.
-  size_t column_heap_bytes() const;
-  /// Bytes those structures serve zero-copy out of the mapping.
-  size_t column_mapped_bytes() const;
 };
 
 /// Per-section byte counts of a written snapshot, for bench reporting.
@@ -111,15 +91,17 @@ Status WriteSnapshotFile(const rdf::RdfGraph& graph,
 /// non-raw section encodings and per-section CRC failures with
 /// Status::Corruption — a bad file can never produce a partially
 /// initialized bundle. \p lexicon backs the paraphrase dictionary and must
-/// outlive the returned bundle. The bytes are copied
-/// into owned structures (zero-copy loading requires the file-backed
-/// ReadSnapshotFile with SnapshotLoadMode::kMmap, which can pin the bytes).
+/// outlive the returned bundle. The bytes are copied into owned structures;
+/// the caller may drop them as soon as this returns.
 StatusOr<Snapshot> ReadSnapshot(std::string_view bytes,
                                 const nlp::Lexicon* lexicon);
 
-StatusOr<Snapshot> ReadSnapshotFile(
-    const std::string& path, const nlp::Lexicon* lexicon,
-    SnapshotLoadMode mode = SnapshotLoadMode::kRead);
+/// Reads the whole file at \p path into one buffer sized from the file
+/// size, then ReadSnapshot()s it. Returns Status::IoError when the file
+/// cannot be opened or read (a missing path, a directory) and on a short
+/// read; container defects are Status::Corruption as above.
+StatusOr<Snapshot> ReadSnapshotFile(const std::string& path,
+                                    const nlp::Lexicon* lexicon);
 
 }  // namespace store
 }  // namespace ganswer

@@ -84,10 +84,10 @@ TEST(SnapshotFuzzTest, SurvivesMutatedSnapshots) {
   });
 }
 
-// Mutations through the mmap loader: the zero-copy path must validate
-// exactly as strictly as the copying one.
-TEST(SnapshotFuzzTest, SurvivesMutatedSnapshotsUnderMmap) {
-  const std::string path = "snapshot_fuzz_mmap.snap";
+// Mutations through the file loader: reading the container from disk must
+// validate exactly as strictly as loading it from memory.
+TEST(SnapshotFuzzTest, SurvivesMutatedSnapshotFiles) {
+  const std::string path = "snapshot_fuzz_file.snap";
   ForEachSeed(4270, 30, [&](uint64_t seed) {
     Rng rng(seed);
     std::string mutated = MutateN(Fixture().bytes, rng, 1 + rng.Next(6));
@@ -95,8 +95,7 @@ TEST(SnapshotFuzzTest, SurvivesMutatedSnapshotsUnderMmap) {
       std::ofstream out(path, std::ios::binary);
       out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
     }
-    auto snap = store::ReadSnapshotFile(path, &Fixture().lexicon,
-                                        store::SnapshotLoadMode::kMmap);
+    auto snap = store::ReadSnapshotFile(path, &Fixture().lexicon);
     if (snap.ok()) {
       ASSERT_NE(snap->graph, nullptr);
       EXPECT_TRUE(snap->graph->finalized());

@@ -60,58 +60,41 @@ TEST(SnapshotRoundTripTest, LoadedSystemAnswersByteIdentically) {
   ASSERT_GT(compared, 1u);
 }
 
-// Storage-tier variants of the same guarantee: whether the container is
-// bulk-read or mmapped, the loaded system's answers are byte-identical to
-// the from-scratch system's.
-TEST(SnapshotRoundTripTest, EveryEncodingAndLoadModeAnswersIdentically) {
+// The same guarantee through the file loader: a container written to disk
+// and read back with ReadSnapshotFile answers byte-identically to the
+// from-scratch system.
+TEST(SnapshotRoundTripTest, FileLoadedSystemAnswersIdentically) {
   const auto& world = ganswer::testing::World();
   qa::GAnswer from_scratch(&world.kb.graph, &world.lexicon,
                            world.verified.get());
 
-  struct Mode {
-    const char* name;
-    store::SnapshotLoadMode load;
-  };
-  const Mode kModes[] = {
-      {"raw+read", store::SnapshotLoadMode::kRead},
-      {"raw+mmap", store::SnapshotLoadMode::kMmap},
-  };
-  for (const Mode& mode : kModes) {
-    SCOPED_TRACE(mode.name);
-    std::string path = std::string("roundtrip_r") +
-                       (mode.load == store::SnapshotLoadMode::kMmap ? "m"
-                                                                    : "b") +
-                       ".snap";
-    ASSERT_TRUE(
-        store::WriteSnapshotFile(world.kb.graph, *world.verified, path).ok());
-    auto snapshot = store::ReadSnapshotFile(path, &world.lexicon, mode.load);
-    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    if (mode.load == store::SnapshotLoadMode::kMmap) {
-      EXPECT_GT(snapshot->column_mapped_bytes(), 0u);
-    }
+  std::string path = "roundtrip_file.snap";
+  ASSERT_TRUE(
+      store::WriteSnapshotFile(world.kb.graph, *world.verified, path).ok());
+  auto snapshot = store::ReadSnapshotFile(path, &world.lexicon);
+  std::remove(path.c_str());
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
 
-    qa::GAnswer::Options opt;
-    opt.entity_index = snapshot->entity_index.get();
-    opt.matching.signatures = snapshot->signatures.get();
-    opt.snapshot_identity = snapshot->fingerprint;
-    qa::GAnswer loaded(snapshot->graph.get(), &world.lexicon,
-                       snapshot->dictionary.get(), opt);
-    size_t compared = 0;
-    for (const auto& q : world.workload) {
-      if (++compared > 12) break;
-      auto a = from_scratch.Ask(q.text);
-      auto b = loaded.Ask(q.text);
-      ASSERT_TRUE(a.ok()) << q.text;
-      ASSERT_TRUE(b.ok()) << q.text;
-      ASSERT_EQ(a->answers.size(), b->answers.size()) << q.text;
-      for (size_t i = 0; i < a->answers.size(); ++i) {
-        EXPECT_EQ(a->answers[i].text, b->answers[i].text) << q.text;
-        EXPECT_EQ(a->answers[i].score, b->answers[i].score) << q.text;
-      }
+  qa::GAnswer::Options opt;
+  opt.entity_index = snapshot->entity_index.get();
+  opt.matching.signatures = snapshot->signatures.get();
+  opt.snapshot_identity = snapshot->fingerprint;
+  qa::GAnswer loaded(snapshot->graph.get(), &world.lexicon,
+                     snapshot->dictionary.get(), opt);
+  size_t compared = 0;
+  for (const auto& q : world.workload) {
+    if (++compared > 12) break;
+    auto a = from_scratch.Ask(q.text);
+    auto b = loaded.Ask(q.text);
+    ASSERT_TRUE(a.ok()) << q.text;
+    ASSERT_TRUE(b.ok()) << q.text;
+    ASSERT_EQ(a->answers.size(), b->answers.size()) << q.text;
+    for (size_t i = 0; i < a->answers.size(); ++i) {
+      EXPECT_EQ(a->answers[i].text, b->answers[i].text) << q.text;
+      EXPECT_EQ(a->answers[i].score, b->answers[i].score) << q.text;
     }
-    ASSERT_GT(compared, 1u);
-    std::remove(path.c_str());
   }
+  ASSERT_GT(compared, 1u);
 }
 
 // The headline serving claim: loading the snapshot is at least an order of

@@ -1,12 +1,14 @@
-// The v3 storage tier: both load modes must reconstruct the same bundle,
-// legacy v2 containers and non-raw section encodings must be rejected, and
-// corruption in any section must be rejected — through the CRC and, when
-// the CRC is forged, through the section loaders' own validation.
+// The v3 storage tier: a file load must reconstruct the same bundle as the
+// in-memory load, legacy v2 containers and non-raw section encodings must
+// be rejected, and corruption in any section must be rejected — through the
+// CRC and, when the CRC is forged, through the section loaders' own
+// validation. Paths that cannot be read are I/O errors.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -72,30 +74,20 @@ std::string Reserialize(const Snapshot& snapshot) {
   return bytes;
 }
 
-TEST(StorageTierTest, AllEncodingsAndLoadModesReconstructIdentically) {
+TEST(StorageTierTest, FileLoadReconstructsIdentically) {
   std::string path = "storage_tier_raw.snap";
   std::string bytes = WriteToFile(path);
 
-  auto raw_read = ReadSnapshotFile(path, &World().lexicon);
-  auto raw_mmap =
-      ReadSnapshotFile(path, &World().lexicon, SnapshotLoadMode::kMmap);
-  ASSERT_TRUE(raw_read.ok()) << raw_read.status().ToString();
-  ASSERT_TRUE(raw_mmap.ok()) << raw_mmap.status().ToString();
+  auto from_file = ReadSnapshotFile(path, &World().lexicon);
+  auto from_bytes = ReadSnapshot(bytes, &World().lexicon);
+  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+  ASSERT_TRUE(from_bytes.ok()) << from_bytes.status().ToString();
 
-  EXPECT_EQ(bytes, Reserialize(*raw_read));
-  EXPECT_EQ(bytes, Reserialize(*raw_mmap));
+  EXPECT_EQ(bytes, Reserialize(*from_file));
 
-  // A mapped load actually serves columns out of the mapping; a bulk read
-  // does not.
-  EXPECT_NE(raw_mmap->mapping, nullptr);
-  EXPECT_GT(raw_mmap->column_mapped_bytes(), 0u);
-  EXPECT_LT(raw_mmap->column_heap_bytes(), raw_read->column_heap_bytes());
-  EXPECT_EQ(raw_read->mapping, nullptr);
-  EXPECT_EQ(raw_read->column_mapped_bytes(), 0u);
-
-  // The fingerprint identifies content bytes: both load modes of one file
-  // agree on it.
-  EXPECT_EQ(raw_read->fingerprint, raw_mmap->fingerprint);
+  // The fingerprint identifies content bytes: the file and the in-memory
+  // loads of one container agree on it.
+  EXPECT_EQ(from_file->fingerprint, from_bytes->fingerprint);
 
   std::remove(path.c_str());
 }
@@ -272,7 +264,7 @@ TEST(StorageTierTest, HugePhraseCountIsRejected) {
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
 }
 
-TEST(StorageTierTest, MmapLoadRejectsCorruptFile) {
+TEST(StorageTierTest, FileLoadRejectsCorruptFile) {
   std::string path = "storage_tier_corrupt.snap";
   std::string bytes = WriteToFile(path);
   std::vector<SectionEntry> sections = ParseTable(bytes);
@@ -282,25 +274,40 @@ TEST(StorageTierTest, MmapLoadRejectsCorruptFile) {
     std::ofstream out(path, std::ios::binary);
     out.write(mutated.data(), static_cast<std::streamsize>(mutated.size()));
   }
-  auto loaded =
-      ReadSnapshotFile(path, &World().lexicon, SnapshotLoadMode::kMmap);
-  EXPECT_FALSE(loaded.ok());
+  auto loaded = ReadSnapshotFile(path, &World().lexicon);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
   {
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
-  loaded = ReadSnapshotFile(path, &World().lexicon, SnapshotLoadMode::kMmap);
-  EXPECT_FALSE(loaded.ok());
+  loaded = ReadSnapshotFile(path, &World().lexicon);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
   std::remove(path.c_str());
 }
 
-TEST(StorageTierTest, MmapLoadRejectsEmptyFile) {
+// An empty file reads fine and is then no container; a missing path and a
+// directory cannot be read at all.
+TEST(StorageTierTest, FileLoadRejectsEmptyMissingOrDirectoryPath) {
   std::string path = "storage_tier_empty.snap";
   { std::ofstream out(path, std::ios::binary); }
-  auto loaded =
-      ReadSnapshotFile(path, &World().lexicon, SnapshotLoadMode::kMmap);
-  EXPECT_FALSE(loaded.ok());
+  auto loaded = ReadSnapshotFile(path, &World().lexicon);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
   std::remove(path.c_str());
+
+  loaded = ReadSnapshotFile("storage_tier_missing.snap", &World().lexicon);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
+
+  std::string dir = "storage_tier_dir.snap";
+  std::filesystem::create_directory(dir);
+  ASSERT_TRUE(std::filesystem::is_directory(dir));
+  loaded = ReadSnapshotFile(dir, &World().lexicon);
+  std::filesystem::remove(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsIoError()) << loaded.status().ToString();
 }
 
 }  // namespace
