@@ -1,6 +1,7 @@
 // Google-benchmark micro-benchmarks for the performance-critical kernels:
 // simple-path mining (offline), entity linking, dependency parsing,
-// relation extraction, SPARQL BGP evaluation, and top-k subgraph matching.
+// relation extraction, candidate-space construction, SPARQL BGP
+// evaluation, and top-k subgraph matching.
 
 #include <benchmark/benchmark.h>
 
@@ -16,9 +17,12 @@
 #include "common/string_util.h"
 #include "deanna/deanna_qa.h"
 #include "linking/entity_linker.h"
+#include "match/candidates.h"
 #include "nlp/dependency_parser.h"
 #include "paraphrase/path_finder.h"
 #include "qa/ganswer.h"
+#include "rdf/graph_stats.h"
+#include "rdf/signature_index.h"
 #include "rdf/sparql_engine.h"
 #include "rdf/sparql_parser.h"
 
@@ -139,6 +143,75 @@ void BM_EntityLinkHubNoExact(benchmark::State& state) {
   state.SetLabel(w.no_exact_phrase);
 }
 BENCHMARK(BM_EntityLinkHubNoExact);
+
+/// A class with \p n instances, each also typed by one of five
+/// subclasses, where 90% of the instances have a birthPlace edge and 25% a
+/// deathPlace edge; the query asks for the class under both predicates.
+struct ClassDomainWorld {
+  rdf::RdfGraph graph;
+  std::unique_ptr<rdf::SignatureIndex> signatures;
+  rdf::GraphStats stats;
+  match::QueryGraph query;
+};
+
+std::unique_ptr<ClassDomainWorld> BuildClassDomainWorld(size_t n) {
+  auto w = std::make_unique<ClassDomainWorld>();
+  rdf::RdfGraph& g = w->graph;
+  for (int c = 0; c < 5; ++c) {
+    g.AddTriple("Sub" + std::to_string(c), rdf::kSubClassOfPredicate,
+                "Person");
+  }
+  for (size_t i = 0; i < n; ++i) {
+    std::string person = "person" + std::to_string(i);
+    g.AddTriple(person, rdf::kTypePredicate, "Person");
+    g.AddTriple(person, rdf::kTypePredicate, "Sub" + std::to_string(i % 5));
+    g.AddTriple(person, "hasGender", i % 2 == 0 ? "male" : "female");
+    if (i % 10 != 0) {
+      g.AddTriple(person, "birthPlace", "place" + std::to_string(i % 200));
+    }
+    if (i % 4 == 0) {
+      g.AddTriple(person, "deathPlace",
+                  "place" + std::to_string(i * 7 % 200));
+    }
+  }
+  if (!g.Finalize().ok()) std::abort();
+  w->signatures = std::make_unique<rdf::SignatureIndex>(g);
+  w->stats = rdf::GraphStats::Compute(g);
+
+  match::QueryVertex person, birth_place, death_place;
+  person.candidates = {{*g.Find("Person"), /*is_class=*/true, 1.0}};
+  birth_place.wildcard = true;
+  death_place.wildcard = true;
+  w->query.vertices = {person, birth_place, death_place};
+  for (const char* pred : {"birthPlace", "deathPlace"}) {
+    match::QueryEdge edge;
+    edge.from = 0;
+    edge.to = static_cast<int>(w->query.edges.size()) + 1;
+    paraphrase::ParaphraseEntry entry;
+    entry.path.steps = {{*g.Find(pred), true}};
+    entry.confidence = 1.0;
+    edge.candidates = {entry};
+    w->query.edges.push_back(edge);
+  }
+  return w;
+}
+
+// The candidate space's worst case: expanding one big class candidate and
+// pruning its instances by a common and a rare incident predicate, with
+// signatures and statistics as the serving path passes them.
+void BM_CandidateSpaceBuildClass(benchmark::State& state) {
+  auto w = BuildClassDomainWorld(static_cast<size_t>(state.range(0)));
+  size_t domain = 0;
+  for (auto _ : state) {
+    match::CandidateSpace space = match::CandidateSpace::Build(
+        w->graph, w->query, /*neighborhood_pruning=*/true,
+        w->signatures.get(), &w->stats);
+    domain = space.domain(0).items.size();
+    benchmark::DoNotOptimize(space);
+  }
+  state.counters["domain"] = static_cast<double>(domain);
+}
+BENCHMARK(BM_CandidateSpaceBuildClass)->Arg(1000)->Arg(16000);
 
 void BM_PathMining(benchmark::State& state) {
   const auto& g = World().kb.graph;

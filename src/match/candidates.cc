@@ -1,6 +1,7 @@
 #include "match/candidates.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace ganswer {
@@ -56,19 +57,17 @@ namespace {
 
 using paraphrase::PathStep;
 using paraphrase::PredicatePath;
+using Item = CandidateSpace::Item;
 
-// True when `u` has at least one incident RDF edge that could begin an
-// instantiation of `path` (in the given orientation).
-bool HasFirstStep(const rdf::RdfGraph& graph, rdf::TermId u,
-                  const PredicatePath& path) {
-  if (path.steps.empty()) return false;
-  const PathStep& s = path.steps.front();
-  auto edges = s.forward ? graph.OutEdges(u) : graph.InEdges(u);
-  return std::binary_search(
-      edges.begin(), edges.end(), rdf::Edge{s.predicate, 0},
-      [](const rdf::Edge& a, const rdf::Edge& b) {
-        return a.predicate < b.predicate;
-      });
+// True when `u` has an incident RDF edge labelled `predicate`, outgoing
+// when `forward`, incoming otherwise.
+bool HasStep(const rdf::RdfGraph& graph, rdf::TermId u, rdf::TermId predicate,
+             bool forward) {
+  auto edges = forward ? graph.OutEdges(u) : graph.InEdges(u);
+  auto it = std::lower_bound(
+      edges.begin(), edges.end(), predicate,
+      [](const rdf::Edge& e, rdf::TermId p) { return e.predicate < p; });
+  return it != edges.end() && it->predicate == predicate;
 }
 
 // Candidate survives the neighborhood check for one incident edge when some
@@ -79,35 +78,91 @@ bool SurvivesEdge(const rdf::RdfGraph& graph, const QueryEdge& edge,
                   rdf::TermId u, const rdf::SignatureIndex* signatures) {
   if (edge.wildcard) return graph.Degree(u) > 0;
   for (const paraphrase::ParaphraseEntry& e : edge.candidates) {
+    if (e.path.steps.empty()) continue;
+    const PathStep& first = e.path.steps.front();
     if (e.path.IsSinglePredicate()) {
       // Either direction is admissible for single predicates (Def. 3).
-      rdf::TermId p = e.path.steps[0].predicate;
+      rdf::TermId p = first.predicate;
       if (signatures != nullptr && !signatures->MaybeHasEither(u, p)) {
         continue;
       }
-      PredicatePath fwd{{{p, true}}};
-      PredicatePath bwd{{{p, false}}};
-      if (HasFirstStep(graph, u, fwd) || HasFirstStep(graph, u, bwd)) {
+      if (HasStep(graph, u, p, true) || HasStep(graph, u, p, false)) {
         return true;
       }
     } else {
-      const PathStep& first = e.path.steps.front();
+      // The reversed orientation starts with the LAST step, flipped.
       const PathStep& last = e.path.steps.back();
       if (signatures != nullptr) {
         bool maybe_fwd = first.forward ? signatures->MaybeHasOut(u, first.predicate)
                                        : signatures->MaybeHasIn(u, first.predicate);
-        // Reversed orientation starts with the LAST step, flipped.
         bool maybe_bwd = last.forward ? signatures->MaybeHasIn(u, last.predicate)
                                       : signatures->MaybeHasOut(u, last.predicate);
         if (!maybe_fwd && !maybe_bwd) continue;
       }
-      if (HasFirstStep(graph, u, e.path) ||
-          HasFirstStep(graph, u, e.path.Reversed())) {
+      if (HasStep(graph, u, first.predicate, first.forward) ||
+          HasStep(graph, u, last.predicate, !last.forward)) {
         return true;
       }
     }
   }
   return false;
+}
+
+// How many triples carry a predicate that lets a vertex pass SurvivesEdge
+// for `edge`: the fewer, the more vertices the check rejects. A wildcard
+// edge passes any vertex with an edge, so it ranks last.
+size_t EdgeSupport(const rdf::RdfGraph& graph, const QueryEdge& edge) {
+  if (edge.wildcard) return std::numeric_limits<size_t>::max();
+  size_t support = 0;
+  for (const paraphrase::ParaphraseEntry& e : edge.candidates) {
+    if (e.path.steps.empty()) continue;
+    support += graph.PredicateFrequency(e.path.steps.front().predicate);
+    if (!e.path.IsSinglePredicate()) {
+      support += graph.PredicateFrequency(e.path.steps.back().predicate);
+    }
+  }
+  return support;
+}
+
+// By vertex, each vertex's best confidence first, so std::unique keeps it.
+bool ByVertex(const Item& a, const Item& b) {
+  if (a.vertex != b.vertex) return a.vertex < b.vertex;
+  return a.confidence > b.confidence;
+}
+
+// The ranked order of VertexDomain::items.
+bool ByConfidence(const Item& a, const Item& b) {
+  if (a.confidence != b.confidence) return a.confidence > b.confidence;
+  return a.vertex < b.vertex;
+}
+
+// One item per distinct vertex of `candidates` that `admit` accepts (a
+// class contributes each of its instances), at the vertex's best
+// confidence, sorted by vertex. A lone class candidate's instances arrive
+// in that order already.
+template <typename Admit>
+std::vector<Item> GatherDomain(
+    const rdf::RdfGraph& graph,
+    const std::vector<linking::LinkCandidate>& candidates, Admit admit) {
+  std::vector<Item> items;
+  for (const linking::LinkCandidate& c : candidates) {
+    if (!c.is_class) {
+      if (admit(c.vertex)) items.push_back({c.vertex, c.confidence});
+      continue;
+    }
+    for (rdf::TermId inst : graph.InstancesOf(c.vertex)) {
+      if (admit(inst)) items.push_back({inst, c.confidence});
+    }
+  }
+  if (!std::is_sorted(items.begin(), items.end(), ByVertex)) {
+    std::sort(items.begin(), items.end(), ByVertex);
+  }
+  items.erase(std::unique(items.begin(), items.end(),
+                          [](const Item& a, const Item& b) {
+                            return a.vertex == b.vertex;
+                          }),
+              items.end());
+  return items;
 }
 
 }  // namespace
@@ -119,7 +174,7 @@ CandidateSpace CandidateSpace::Build(const rdf::RdfGraph& graph,
                                      const rdf::GraphStats* stats) {
   CandidateSpace space;
   space.domains_.resize(query.vertices.size());
-  space.delta_.resize(query.vertices.size());
+  space.by_vertex_.resize(query.vertices.size());
 
   // Domains are independent of each other, so their build order cannot
   // change the result; with statistics the smallest estimated domains go
@@ -152,52 +207,35 @@ CandidateSpace CandidateSpace::Build(const rdf::RdfGraph& graph,
     dom.wildcard_confidence = qv.wildcard_confidence;
     if (qv.wildcard) continue;
 
-    auto& delta = space.delta_[i];
-    for (const linking::LinkCandidate& c : qv.candidates) {
-      if (c.is_class) {
-        for (rdf::TermId inst : graph.InstancesOf(c.vertex)) {
-          auto [it, inserted] = delta.emplace(inst, c.confidence);
-          if (!inserted) it->second = std::max(it->second, c.confidence);
-        }
-      } else {
-        auto [it, inserted] = delta.emplace(c.vertex, c.confidence);
-        if (!inserted) it->second = std::max(it->second, c.confidence);
-      }
-    }
-
+    // Survival is the conjunction over the incident edges, so checking
+    // the most selective edge first rejects doomed vertices soonest
+    // without changing which survive.
+    std::vector<int> incident;
     if (neighborhood_pruning) {
-      std::vector<int> incident = query.IncidentEdges(static_cast<int>(i));
-      if (stats != nullptr && incident.size() > 1) {
-        // Check the lowest-fan-out (most selective) edge first so doomed
-        // candidates are rejected before the expensive checks run. The
-        // surviving set is the conjunction either way.
-        std::stable_sort(incident.begin(), incident.end(),
-                         [&](int a, int b) {
-                           return EstimateEdgeFanout(*stats, query.edges[a]) <
-                                  EstimateEdgeFanout(*stats, query.edges[b]);
-                         });
-      }
-      for (auto it = delta.begin(); it != delta.end();) {
-        bool ok = true;
-        for (int ei : incident) {
-          if (!SurvivesEdge(graph, query.edges[ei], it->first, signatures)) {
-            ok = false;
-            break;
-          }
-        }
-        it = ok ? std::next(it) : delta.erase(it);
-      }
+      incident = query.IncidentEdges(static_cast<int>(i));
+      std::stable_sort(incident.begin(), incident.end(), [&](int a, int b) {
+        return EdgeSupport(graph, query.edges[a]) <
+               EdgeSupport(graph, query.edges[b]);
+      });
     }
+    std::vector<Item> gathered =
+        GatherDomain(graph, qv.candidates, [&](rdf::TermId u) {
+          for (int ei : incident) {
+            if (!SurvivesEdge(graph, query.edges[ei], u, signatures)) {
+              return false;
+            }
+          }
+          return true;
+        });
 
-    dom.items.reserve(delta.size());
-    for (const auto& [v, conf] : delta) dom.items.push_back({v, conf});
-    std::sort(dom.items.begin(), dom.items.end(),
-              [](const Item& a, const Item& b) {
-                if (a.confidence != b.confidence) {
-                  return a.confidence > b.confidence;
-                }
-                return a.vertex < b.vertex;
-              });
+    // Copied out at their exact size: the gathering buffer grew by
+    // doubling.
+    std::vector<Item>& by_vertex = space.by_vertex_[i];
+    by_vertex.assign(gathered.begin(), gathered.end());
+    dom.items = by_vertex;
+    if (!std::is_sorted(dom.items.begin(), dom.items.end(), ByConfidence)) {
+      std::sort(dom.items.begin(), dom.items.end(), ByConfidence);
+    }
   }
   return space;
 }
@@ -206,9 +244,12 @@ std::optional<double> CandidateSpace::VertexDelta(int qv,
                                                   rdf::TermId u) const {
   const VertexDomain& dom = domains_[qv];
   if (dom.wildcard) return dom.wildcard_confidence;
-  auto it = delta_[qv].find(u);
-  if (it == delta_[qv].end()) return std::nullopt;
-  return it->second;
+  const std::vector<Item>& items = by_vertex_[qv];
+  auto it = std::lower_bound(
+      items.begin(), items.end(), u,
+      [](const Item& item, rdf::TermId v) { return item.vertex < v; });
+  if (it == items.end() || it->vertex != u) return std::nullopt;
+  return it->confidence;
 }
 
 std::optional<double> CandidateSpace::EdgeDelta(const rdf::RdfGraph& graph,

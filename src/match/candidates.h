@@ -93,6 +93,10 @@ class EdgeMemo {
 /// vertex is dropped when, for some incident query edge, it has no incident
 /// RDF edge whose predicate could begin any candidate predicate path — the
 /// u5 example of the paper.
+///
+/// Every domain is a flat vector with one item per vertex at its best
+/// confidence, kept twice: in ranked order for the TA cursors, and by
+/// vertex for VertexDelta's binary search.
 class CandidateSpace {
  public:
   struct Item {
@@ -101,7 +105,7 @@ class CandidateSpace {
   };
 
   struct VertexDomain {
-    /// Sorted by confidence, non-ascending.
+    /// Sorted by confidence, non-ascending, then by vertex ascending.
     std::vector<Item> items;
     bool wildcard = false;
     double wildcard_confidence = 1.0;
@@ -111,10 +115,10 @@ class CandidateSpace {
   /// is non-null, the neighborhood check consults the gStore-style vertex
   /// signatures first (constant-time rejection) before touching adjacency
   /// lists; results are identical either way. When \p stats is non-null,
-  /// vertex domains are built in ascending estimated-size order and each
-  /// domain's incident pruning edges are checked cheapest estimated
-  /// fan-out first (earlier rejections); the built domains are identical
-  /// with or without statistics.
+  /// vertex domains are built in ascending estimated-size order; the built
+  /// domains are identical with or without statistics. A domain's incident
+  /// pruning edges are checked rarest predicates first, so most rejected
+  /// vertices fail on their first check.
   static CandidateSpace Build(const rdf::RdfGraph& graph,
                               const QueryGraph& query,
                               bool neighborhood_pruning,
@@ -148,8 +152,9 @@ class CandidateSpace {
 
  private:
   std::vector<VertexDomain> domains_;
-  /// Per query vertex: admissibility map for non-wildcard domains.
-  std::vector<std::unordered_map<rdf::TermId, double>> delta_;
+  /// Per query vertex: the domain's items sorted by vertex ascending (empty
+  /// for wildcards).
+  std::vector<std::vector<Item>> by_vertex_;
 };
 
 }  // namespace match

@@ -1,6 +1,7 @@
 #include "rdf/rdf_graph.h"
 
 #include <algorithm>
+#include <limits>
 #include <queue>
 
 #include "common/binary_io.h"
@@ -25,6 +26,14 @@ Status ValidateOffsets(const std::vector<uint64_t>& offsets,
     }
   }
   return Status::Ok();
+}
+
+// The edges of \p edges (sorted by (predicate, neighbor)) labelled \p p.
+std::span<const Edge> PredicateRun(std::span<const Edge> edges, TermId p) {
+  auto lo = std::lower_bound(edges.begin(), edges.end(), Edge{p, 0});
+  auto hi = std::upper_bound(lo, edges.end(),
+                             Edge{p, std::numeric_limits<TermId>::max()});
+  return {lo, hi};
 }
 
 }  // namespace
@@ -206,21 +215,13 @@ bool RdfGraph::HasTriple(TermId s, TermId p, TermId o) const {
 
 std::vector<TermId> RdfGraph::Objects(TermId s, TermId p) const {
   std::vector<TermId> out;
-  auto edges = OutEdges(s);
-  auto lo = std::lower_bound(edges.begin(), edges.end(), Edge{p, 0});
-  for (auto it = lo; it != edges.end() && it->predicate == p; ++it) {
-    out.push_back(it->neighbor);
-  }
+  for (const Edge& e : PredicateRun(OutEdges(s), p)) out.push_back(e.neighbor);
   return out;
 }
 
 std::vector<TermId> RdfGraph::Subjects(TermId p, TermId o) const {
   std::vector<TermId> out;
-  auto edges = InEdges(o);
-  auto lo = std::lower_bound(edges.begin(), edges.end(), Edge{p, 0});
-  for (auto it = lo; it != edges.end() && it->predicate == p; ++it) {
-    out.push_back(it->neighbor);
-  }
+  for (const Edge& e : PredicateRun(InEdges(o), p)) out.push_back(e.neighbor);
   return out;
 }
 
@@ -276,30 +277,58 @@ bool RdfGraph::IsInstanceOf(TermId v, TermId cls) const {
 }
 
 std::vector<TermId> RdfGraph::InstancesOf(TermId cls) const {
-  // Instances of cls and of every subclass of cls.
-  std::vector<TermId> result;
-  std::vector<bool> seen_cls(dict_.size(), false);
-  std::vector<bool> seen_inst(dict_.size(), false);
-  std::queue<TermId> q;
-  q.push(cls);
-  if (cls < seen_cls.size()) seen_cls[cls] = true;
-  while (!q.empty()) {
-    TermId c = q.front();
-    q.pop();
-    for (TermId inst : Subjects(type_pred_, c)) {
-      if (!seen_inst[inst]) {
-        seen_inst[inst] = true;
-        result.push_back(inst);
-      }
-    }
-    for (TermId sub : Subjects(subclass_pred_, c)) {
-      if (!seen_cls[sub]) {
-        seen_cls[sub] = true;
-        q.push(sub);
-      }
+  // cls and its rdfs:subClassOf descendants. Hierarchies are small, so a
+  // sorted vector is the seen set.
+  std::vector<TermId> classes{cls};
+  std::vector<TermId> seen{cls};
+  for (size_t i = 0; i < classes.size(); ++i) {
+    for (const Edge& e : PredicateRun(InEdges(classes[i]), subclass_pred_)) {
+      auto at = std::lower_bound(seen.begin(), seen.end(), e.neighbor);
+      if (at != seen.end() && *at == e.neighbor) continue;
+      seen.insert(at, e.neighbor);
+      classes.push_back(e.neighbor);
     }
   }
-  std::sort(result.begin(), result.end());
+
+  // Each class's rdf:type in-edges are one run of instances, ascending.
+  // The largest run is the base; the other runs contribute only what the
+  // base lacks, found through a bitmap over the base's id range. Where
+  // every subclass instance is also typed by the class itself, that is
+  // nothing, and the base is the answer as it stands.
+  std::vector<std::span<const Edge>> runs;
+  for (TermId c : classes) {
+    std::span<const Edge> run = PredicateRun(InEdges(c), type_pred_);
+    if (!run.empty()) runs.push_back(run);
+  }
+  if (runs.empty()) return {};
+  auto largest = std::max_element(
+      runs.begin(), runs.end(),
+      [](std::span<const Edge> a, std::span<const Edge> b) {
+        return a.size() < b.size();
+      });
+  std::iter_swap(runs.begin(), largest);
+  std::vector<TermId> result;
+  result.reserve(runs[0].size());
+  for (const Edge& e : runs[0]) result.push_back(e.neighbor);
+
+  if (runs.size() == 1) return result;
+  const TermId lo = result.front(), hi = result.back();
+  std::vector<bool> in_base(hi - lo + 1, false);
+  for (TermId v : result) in_base[v - lo] = true;
+  std::vector<TermId> extra;
+  for (size_t r = 1; r < runs.size(); ++r) {
+    for (const Edge& e : runs[r]) {
+      TermId v = e.neighbor;
+      if (v < lo || v > hi || !in_base[v - lo]) extra.push_back(v);
+    }
+  }
+  if (extra.empty()) return result;
+  // Runs of different subclasses interleave and may share instances.
+  std::sort(extra.begin(), extra.end());
+  extra.erase(std::unique(extra.begin(), extra.end()), extra.end());
+  const size_t base_size = result.size();
+  result.insert(result.end(), extra.begin(), extra.end());
+  std::inplace_merge(result.begin(), result.begin() + base_size, result.end());
   return result;
 }
 

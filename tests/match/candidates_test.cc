@@ -16,6 +16,9 @@ rdf::RdfGraph Figure2Graph() {
   g.AddTriple("Antonio", "rdf:type", "Actor");
   g.AddTriple("Melanie", "spouse", "Antonio");
   g.AddTriple("Melanie", "rdf:type", "Actor");
+  // The paper's other "play in" predicate: a known term, but no triple of
+  // this excerpt uses it.
+  g.dict().Intern("playForTeam");
   EXPECT_TRUE(g.Finalize().ok());
   return g;
 }

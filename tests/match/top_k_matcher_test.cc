@@ -203,6 +203,10 @@ TEST_P(TopKPropertyTest, EarlyStopEqualsExhaustive) {
   for (int i = 0; i < 30; ++i) {
     g.AddTriple(rng.Pick(vs), rng.Pick(ps), rng.Pick(vs));
   }
+  // A name no triple drew still gets an id: as a candidate it matches
+  // nothing.
+  for (const std::string& v : vs) g.dict().Intern(v);
+  for (const std::string& p : ps) g.dict().Intern(p);
   ASSERT_TRUE(g.Finalize().ok());
 
   QueryGraph query;

@@ -23,6 +23,7 @@
 #include "linking/entity_index.h"
 #include "linking/entity_linker.h"
 #include "nlp/lexicon.h"
+#include "oracle/large_kb.h"
 #include "oracle/link_oracle.h"
 #include "paraphrase/paraphrase_dictionary.h"
 #include "prop/prop_support.h"
@@ -37,26 +38,6 @@ namespace {
 using linking::EntityIndex;
 using linking::EntityLinker;
 using linking::LinkCandidate;
-
-/// The KbGenerator KB at 4x the default entity counts: enough shared
-/// surname, city and suffix tokens that many phrases have more than 32
-/// candidates, the only calls the linker prunes.
-const datagen::KbGenerator::GeneratedKb& LargeKb() {
-  static const datagen::KbGenerator::GeneratedKb* kb = [] {
-    datagen::KbGenerator::Options options;
-    options.num_families *= 4;
-    options.num_films *= 4;
-    options.num_cities *= 4;
-    options.num_companies *= 4;
-    options.num_books *= 4;
-    options.num_teams *= 4;
-    options.num_bands *= 4;
-    auto generated = datagen::KbGenerator::Generate(options);
-    if (!generated.ok()) std::abort();
-    return new datagen::KbGenerator::GeneratedKb(std::move(generated).value());
-  }();
-  return *kb;
-}
 
 std::vector<std::string> AllLabels(const EntityIndex& index) {
   std::set<std::string> labels;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace ganswer {
 namespace rdf {
 namespace {
@@ -72,7 +75,7 @@ TEST(RdfGraphTest, EntityDetection) {
   RdfGraph g = SmallGraph();
   EXPECT_TRUE(g.IsEntity(*g.Find("Antonio")));
   EXPECT_FALSE(g.IsEntity(*g.Find("Actor"))) << "classes are not entities";
-  EXPECT_FALSE(g.IsEntity(*g.Find("1.80"))) << "literals are not entities";
+  EXPECT_FALSE(g.IsEntity(*g.FindTerm("1.80"))) << "literals are not entities";
   EXPECT_FALSE(g.IsEntity(*g.Find("spouse")))
       << "predicate-only terms are not entities";
 }
@@ -98,6 +101,50 @@ TEST(RdfGraphTest, InstancesOfIncludesSubclassInstances) {
   EXPECT_EQ(persons.size(), 2u);
   auto actors = g.InstancesOf(*g.Find("Actor"));
   EXPECT_EQ(actors.size(), 1u);
+}
+
+TEST(RdfGraphTest, InstancesOfListsInstanceTypedByClassAndSubclassOnce) {
+  RdfGraph g;
+  g.AddTriple("Actor", "rdfs:subClassOf", "Person");
+  g.AddTriple("a1", "rdf:type", "Actor");
+  g.AddTriple("a1", "rdf:type", "Person");
+  g.AddTriple("p1", "rdf:type", "Person");
+  ASSERT_TRUE(g.Finalize().ok());
+  auto persons = g.InstancesOf(*g.Find("Person"));
+  ASSERT_EQ(persons.size(), 2u);
+  EXPECT_EQ(std::count(persons.begin(), persons.end(), *g.Find("a1")), 1);
+  EXPECT_EQ(std::count(persons.begin(), persons.end(), *g.Find("p1")), 1);
+}
+
+TEST(RdfGraphTest, InstancesOfIsAscending) {
+  // Instances interned in an order that interleaves the classes' runs:
+  // some typed by the class and a subclass, some by a subclass only, one
+  // through a subclass of a subclass, one by two sibling subclasses. The
+  // subClassOf cycle must not loop.
+  RdfGraph g;
+  g.AddTriple("Actor", "rdfs:subClassOf", "Person");
+  g.AddTriple("Writer", "rdfs:subClassOf", "Person");
+  g.AddTriple("Poet", "rdfs:subClassOf", "Writer");
+  g.AddTriple("Person", "rdfs:subClassOf", "Poet");
+  const char* const types[][2] = {
+      {"w1", "Writer"}, {"a1", "Actor"},  {"a1", "Person"}, {"p1", "Person"},
+      {"w2", "Writer"}, {"a2", "Actor"},  {"q1", "Poet"},   {"x1", "Actor"},
+      {"x1", "Writer"}, {"a3", "Actor"},  {"a3", "Person"}, {"w3", "Writer"},
+  };
+  for (const auto& [inst, cls] : types) g.AddTriple(inst, "rdf:type", cls);
+  ASSERT_TRUE(g.Finalize().ok());
+  std::vector<TermId> want;
+  for (const char* name : {"w1", "a1", "p1", "w2", "a2", "q1", "x1", "a3",
+                           "w3"}) {
+    want.push_back(*g.Find(name));
+  }
+  std::sort(want.begin(), want.end());
+  for (const char* cls : {"Person", "Writer", "Poet"}) {
+    EXPECT_EQ(g.InstancesOf(*g.Find(cls)), want) << cls << " (cycle)";
+  }
+  std::vector<TermId> actors = g.InstancesOf(*g.Find("Actor"));
+  EXPECT_TRUE(std::is_sorted(actors.begin(), actors.end()));
+  EXPECT_EQ(actors.size(), 4u);
 }
 
 TEST(RdfGraphTest, SuperClassesIncludesSelfAndTransitive) {
