@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench_support.h"
+#include "common/binary_io.h"
 #include "common/search.h"
 #include "common/string_util.h"
 #include "deanna/deanna_qa.h"
@@ -67,16 +68,40 @@ void BM_EntityLink(benchmark::State& state) {
 BENCHMARK(BM_EntityLink);
 
 /// The KbGenerator KB at qabench's 16x scale, where numbered titles make
-/// "2" and "3" hub tokens with thousands of postings, plus two film-title
-/// phrases that hit the biggest hub: one a title without its article (an
-/// exact match, so dominance prunes), one the title minus its first word
-/// as well (no exact match, so MaxScore prunes).
+/// "2" and "3" hub tokens with thousands of postings, plus phrases that
+/// hit the biggest hub: a film title without its article (an exact match,
+/// so dominance prunes); the title minus its first word as well (no exact
+/// match, so MaxScore prunes); a title of two distinct tokens, one the
+/// hub ("mystic mystic 2": q = 2, where only the fewest-label-tokens bound
+/// prunes); and a numbered person ("alma banik 2": q = 3, where the
+/// threshold merge only probes the hub's postings).
 struct HubLinkWorld {
   datagen::KbGenerator::GeneratedKb kb;
   std::unique_ptr<linking::EntityIndex> index;
   std::string exact_phrase;
   std::string no_exact_phrase;
+  std::string two_token_phrase;
+  std::string person_phrase;
 };
+
+/// The normalized tokens of \p name when it is an exact label of some
+/// vertex, its last token is \p hub, and it has \p distinct distinct
+/// tokens; empty otherwise.
+std::vector<std::string> HubLabelTokens(const linking::EntityIndex& index,
+                                        const std::string& name,
+                                        const std::string& hub,
+                                        size_t distinct) {
+  std::vector<std::string> tokens = SplitWhitespace(NormalizeLabel(name));
+  if (!tokens.empty() && tokens.front() == "the") tokens.erase(tokens.begin());
+  if (tokens.empty() || tokens.back() != hub) return {};
+  std::vector<std::string> sorted = tokens;
+  std::sort(sorted.begin(), sorted.end());
+  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  if (sorted.size() != distinct || index.ExactMatches(Join(tokens, " ")).empty()) {
+    return {};
+  }
+  return tokens;
+}
 
 const HubLinkWorld& HubWorld() {
   static HubLinkWorld* world = [] {
@@ -118,7 +143,24 @@ const HubLinkWorld& HubWorld() {
       w->no_exact_phrase = shortened;
       break;
     }
-    if (w->exact_phrase.empty()) std::abort();
+    for (const std::string& film : w->kb.films) {
+      std::vector<std::string> tokens =
+          HubLabelTokens(*w->index, film, hub, 2);
+      if (tokens.empty()) continue;
+      w->two_token_phrase = Join(tokens, " ");
+      break;
+    }
+    for (const std::string& person : w->kb.people) {
+      std::vector<std::string> tokens =
+          HubLabelTokens(*w->index, person, hub, 3);
+      if (tokens.size() != 3) continue;
+      w->person_phrase = Join(tokens, " ");
+      break;
+    }
+    if (w->exact_phrase.empty() || w->two_token_phrase.empty() ||
+        w->person_phrase.empty()) {
+      std::abort();
+    }
     return w;
   }();
   return *world;
@@ -143,6 +185,45 @@ void BM_EntityLinkHubNoExact(benchmark::State& state) {
   state.SetLabel(w.no_exact_phrase);
 }
 BENCHMARK(BM_EntityLinkHubNoExact);
+
+void BM_EntityLinkHubTwoToken(benchmark::State& state) {
+  const HubLinkWorld& w = HubWorld();
+  linking::EntityLinker linker(w.index.get());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linker.Link(w.two_token_phrase));
+  }
+  state.SetLabel(w.two_token_phrase);
+}
+BENCHMARK(BM_EntityLinkHubTwoToken);
+
+void BM_EntityLinkPersonNumbered(benchmark::State& state) {
+  const HubLinkWorld& w = HubWorld();
+  linking::EntityLinker linker(w.index.get());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linker.Link(w.person_phrase));
+  }
+  state.SetLabel(w.person_phrase);
+}
+BENCHMARK(BM_EntityLinkPersonNumbered);
+
+// Loading the 16x entity index section, as the snapshot reader does: the
+// load budget of the flat label table and its token spans.
+void BM_EntityIndexLoad(benchmark::State& state) {
+  const HubLinkWorld& w = HubWorld();
+  BinaryWriter out;
+  out.set_aligned(true);
+  w.index->SaveBinary(&out);
+  for (auto _ : state) {
+    BinaryReader in(out.buffer());
+    in.set_aligned(true);
+    auto index = linking::EntityIndex::LoadBinary(w.kb.graph, &in);
+    if (!index.ok()) std::abort();
+    benchmark::DoNotOptimize(index);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(out.size()));
+}
+BENCHMARK(BM_EntityIndexLoad)->Unit(benchmark::kMillisecond);
 
 /// A class with \p n instances, each also typed by one of five
 /// subclasses, where 90% of the instances have a birthPlace edge and 25% a

@@ -24,9 +24,9 @@ uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 /// varints. Vectors of trivially-copyable structs are written as one
 /// contiguous memcpy so the matching read is a single bulk copy.
 ///
-/// In aligned mode (snapshot format v3) every pod-vector payload is padded
-/// to an 8-byte boundary relative to the start of the buffer. No reader needs
-/// the padding; it is part of the v3 container bytes.
+/// In aligned mode (the snapshot container) every pod-vector payload is
+/// padded to an 8-byte boundary relative to the start of the buffer. No
+/// reader needs the padding; it is part of the container bytes.
 class BinaryWriter {
  public:
   void WriteU8(uint8_t v) { buffer_.push_back(static_cast<char>(v)); }

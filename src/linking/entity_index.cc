@@ -11,15 +11,80 @@
 namespace ganswer {
 namespace linking {
 
-EntityIndex::EntityIndex(const rdf::RdfGraph& graph) : graph_(graph) {
-  for (rdf::TermId v = 0; v < graph.dict().size(); ++v) {
-    MaybeIndex(v);
+namespace {
+
+// The postings of a label-map value (the list itself) or a token-map
+// value (a TokenEntry).
+template <typename Value>
+auto& PostingsOf(Value& value) {
+  if constexpr (requires { value.postings; }) {
+    return value.postings;
+  } else {
+    return value;
   }
+}
+
+void SortUnique(std::vector<rdf::TermId>* list) {
+  std::sort(list->begin(), list->end());
+  list->erase(std::unique(list->begin(), list->end()), list->end());
+}
+
+// Lmin of the rows [first, last): the fewest distinct tokens of a label,
+// capped at 255; 0 for no rows.
+uint8_t FewestTokens(const EntityIndex::LabelTable& labels, size_t first,
+                     size_t last) {
+  if (first == last) return 0;
+  size_t fewest = 255;
+  for (size_t row = first; row < last; ++row) {
+    fewest = std::min(fewest, labels.Tokens(row).size());
+  }
+  return static_cast<uint8_t>(fewest);
+}
+
+// The map's keys in ascending order.
+template <typename Map>
+std::vector<const std::string*> SortedKeys(const Map& m) {
+  std::vector<const std::string*> keys;
+  keys.reserve(m.size());
+  for (const auto& [key, value] : m) keys.push_back(&key);
+  std::sort(keys.begin(), keys.end(),
+            [](const std::string* a, const std::string* b) { return *a < *b; });
+  return keys;
+}
+
+}  // namespace
+
+EntityIndex::EntityIndex(const rdf::RdfGraph& graph) : graph_(graph) {
+  const size_t num_terms = graph.dict().size();
+  std::vector<rdf::TermId> vertices;
+  std::vector<uint32_t> vertex_rows;
+  for (rdf::TermId v = 0; v < num_terms; ++v) {
+    const size_t first_row = labels_.rows();
+    MaybeIndex(v);
+    if (labels_.rows() == first_row) continue;
+    vertices.push_back(v);
+    vertex_rows.push_back(static_cast<uint32_t>(first_row));
+  }
+  vertex_rows.push_back(static_cast<uint32_t>(labels_.rows()));
   FinalizePostings();
+
+  // Provisional ids are first-seen order; the final id is the token's rank
+  // among the sorted keys, the order SaveBinary writes them in.
+  std::vector<uint32_t> final_ids(by_token_.size());
+  uint32_t rank = 0;
+  for (const std::string* key : SortedKeys(by_token_)) {
+    TokenEntry& entry = by_token_.find(*key)->second;
+    final_ids[entry.id] = rank;
+    entry.id = rank++;
+  }
+  RenumberTokens(final_ids);
+  token_id_end_ = rank;
+  BuildDenseVertexTable(vertices, vertex_rows);
 }
 
 void EntityIndex::MaybeIndex(rdf::TermId v) {
   const rdf::TermDictionary& dict = graph_.dict();
+  const size_t first_row = labels_.rows();
   if (dict.IsLiteral(v)) {
     // Name-like literals (capitalized, connected) are indexed too:
     // "Who was called Scarface?" must link "Scarface" to the nickname
@@ -27,11 +92,87 @@ void EntityIndex::MaybeIndex(rdf::TermId v) {
     std::string_view text = dict.text(v);
     bool name_like =
         !text.empty() && std::isupper(static_cast<unsigned char>(text[0]));
-    if (name_like && graph_.InDegree(v) > 0) AddLabel(v, text);
+    if (name_like && graph_.InDegree(v) > 0) AddLabel(v, text, first_row);
     return;
   }
   if (!graph_.IsEntity(v) && !graph_.IsClass(v)) return;
-  IndexVertex(v);
+  // IRI-derived label, then the explicit rdfs:label literals.
+  AddLabel(v, dict.text(v), first_row);
+  for (rdf::TermId label : graph_.Objects(v, graph_.label_predicate())) {
+    AddLabel(v, dict.text(label), first_row);
+  }
+}
+
+void EntityIndex::AddLabel(rdf::TermId v, std::string_view raw_label,
+                           size_t first_row) {
+  std::string norm = NormalizeLabel(raw_label);
+  if (norm.empty()) return;
+  // Leading-article variant: "The Godfather" is mentioned as "Godfather"
+  // once the parser strips the determiner, so index both forms.
+  for (const char* article : {"the ", "a ", "an "}) {
+    if (norm.rfind(article, 0) == 0 && norm.size() > strlen(article)) {
+      AddLabel(v, std::string_view(norm).substr(strlen(article)), first_row);
+      break;
+    }
+  }
+  // v's rows so far are the rows from first_row on.
+  for (size_t row = first_row; row < labels_.rows(); ++row) {
+    if (labels_.Text(row) == norm) return;
+  }
+
+  by_label_[norm].push_back(v);
+  std::vector<std::string_view> tokens;
+  SplitWhitespace(norm, &tokens);
+  const size_t span_begin = labels_.token_ids.size();
+  for (std::string_view token : tokens) {
+    auto it = by_token_.find(token);
+    if (it == by_token_.end()) {
+      it = by_token_.emplace(std::string(token), TokenEntry{}).first;
+      it->second.id = static_cast<uint32_t>(by_token_.size() - 1);
+    }
+    it->second.postings.push_back(v);
+    labels_.token_ids.push_back(it->second.id);
+  }
+  auto span = labels_.token_ids.begin() + static_cast<ptrdiff_t>(span_begin);
+  std::sort(span, labels_.token_ids.end());
+  labels_.token_ids.erase(std::unique(span, labels_.token_ids.end()),
+                          labels_.token_ids.end());
+  labels_.text += norm;
+  labels_.text_offsets.push_back(static_cast<uint32_t>(labels_.text.size()));
+  labels_.token_offsets.push_back(
+      static_cast<uint32_t>(labels_.token_ids.size()));
+}
+
+void EntityIndex::FinalizePostings() {
+  for (auto& [label, list] : by_label_) SortUnique(&list);
+  for (auto& [token, entry] : by_token_) SortUnique(&entry.postings);
+}
+
+void EntityIndex::RenumberTokens(const std::vector<uint32_t>& final_ids) {
+  for (uint32_t& id : labels_.token_ids) id = final_ids[id];
+  for (size_t row = 0; row < labels_.rows(); ++row) {
+    std::sort(labels_.token_ids.begin() + labels_.token_offsets[row],
+              labels_.token_ids.begin() + labels_.token_offsets[row + 1]);
+  }
+}
+
+void EntityIndex::BuildDenseVertexTable(
+    const std::vector<rdf::TermId>& vertices,
+    const std::vector<uint32_t>& vertex_rows) {
+  const size_t num_terms = graph_.dict().size();
+  // Slot v starts at the first row of the first listed vertex >= v.
+  vertex_rows_.resize(num_terms + 1);
+  size_t next = 0;
+  for (size_t v = 0; v <= num_terms; ++v) {
+    while (next < vertices.size() && vertices[next] < v) ++next;
+    vertex_rows_[v] = vertex_rows[next];
+  }
+  min_label_tokens_.assign(num_terms, 0);
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    min_label_tokens_[vertices[i]] =
+        FewestTokens(labels_, vertex_rows[i], vertex_rows[i + 1]);
+  }
+  num_indexed_ = vertices.size();
 }
 
 std::unique_ptr<EntityIndex> EntityIndex::BuildOverlay(
@@ -42,10 +183,25 @@ std::unique_ptr<EntityIndex> EntityIndex::BuildOverlay(
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
-  // Fresh postings for the touched vertices, derived from the overlay
-  // graph's merged state by the same rule the full build uses.
-  for (rdf::TermId v : sorted) index->MaybeIndex(v);
+  // Fresh labels and postings for the touched vertices, derived from the
+  // overlay graph's merged state by the same rule the full build uses.
+  // Every touched vertex gets a slot, so one that lost all its labels is
+  // an empty tombstone masking the stale base entry.
+  size_t own_labeled = 0;
+  for (rdf::TermId v : sorted) {
+    const size_t first_row = index->labels_.rows();
+    index->MaybeIndex(v);
+    const size_t last_row = index->labels_.rows();
+    index->vertices_.push_back(v);
+    index->vertex_rows_.push_back(static_cast<uint32_t>(first_row));
+    index->min_label_tokens_.push_back(
+        FewestTokens(index->labels_, first_row, last_row));
+    if (last_row > first_row) ++own_labeled;
+  }
+  index->vertex_rows_.push_back(
+      static_cast<uint32_t>(index->labels_.rows()));
   index->FinalizePostings();
+  const size_t num_provisional = index->by_token_.size();
 
   // Affected keys: everything a touched vertex carries now (the local maps)
   // plus everything it carried in the base. Keys outside this union have
@@ -53,14 +209,14 @@ std::unique_ptr<EntityIndex> EntityIndex::BuildOverlay(
   std::unordered_set<rdf::TermId> touched_set(sorted.begin(), sorted.end());
   std::unordered_set<std::string> affected_labels, affected_tokens;
   size_t base_labeled_touched = 0;
+  std::vector<std::string_view> tokens;
   for (rdf::TermId v : sorted) {
-    const std::vector<std::string>& old_labels = base->LabelsOf(v);
+    LabelList old_labels = base->LabelsOf(v);
     if (!old_labels.empty()) ++base_labeled_touched;
-    for (const std::string& label : old_labels) {
-      affected_labels.insert(label);
-      for (const std::string& token : SplitWhitespace(label)) {
-        affected_tokens.insert(token);
-      }
+    for (std::string_view label : old_labels) {
+      affected_labels.emplace(label);
+      SplitWhitespace(label, &tokens);
+      for (std::string_view token : tokens) affected_tokens.emplace(token);
     }
   }
 
@@ -68,122 +224,79 @@ std::unique_ptr<EntityIndex> EntityIndex::BuildOverlay(
   // outside the touched set plus the fresh touched carriers, sorted — which
   // is exactly the list a from-scratch rebuild would produce. An empty list
   // stays in the map as a tombstone masking the base.
-  auto merge_affected =
-      [&](std::unordered_map<std::string, std::vector<rdf::TermId>>* own,
-          const std::unordered_map<std::string, std::vector<rdf::TermId>>&
-              base_map,
-          std::unordered_set<std::string>* affected) {
-        for (const auto& [key, list] : *own) affected->insert(key);
-        for (const std::string& key : *affected) {
-          std::vector<rdf::TermId> merged;
-          auto base_it = base_map.find(key);
-          if (base_it != base_map.end()) {
-            for (rdf::TermId v : base_it->second) {
-              if (touched_set.find(v) == touched_set.end()) {
-                merged.push_back(v);
-              }
-            }
-          }
-          auto own_it = own->find(key);
-          if (own_it != own->end()) {
-            merged.insert(merged.end(), own_it->second.begin(),
-                          own_it->second.end());
-          }
-          std::sort(merged.begin(), merged.end());
-          merged.erase(std::unique(merged.begin(), merged.end()),
-                       merged.end());
-          (*own)[key] = std::move(merged);
+  auto merge_affected = [&](auto* own, const auto& base_map,
+                            std::unordered_set<std::string>* affected) {
+    for (const auto& [key, value] : *own) affected->insert(key);
+    for (const std::string& key : *affected) {
+      std::vector<rdf::TermId> merged;
+      auto base_it = base_map.find(key);
+      if (base_it != base_map.end()) {
+        for (rdf::TermId v : PostingsOf(base_it->second)) {
+          if (touched_set.find(v) == touched_set.end()) merged.push_back(v);
         }
-      };
+      }
+      std::vector<rdf::TermId>& postings =
+          PostingsOf(own->try_emplace(key).first->second);
+      merged.insert(merged.end(), postings.begin(), postings.end());
+      SortUnique(&merged);
+      postings = std::move(merged);
+    }
+  };
   merge_affected(&index->by_label_, base->by_label_, &affected_labels);
   merge_affected(&index->by_token_, base->by_token_, &affected_tokens);
 
-  size_t own_labeled = 0;
-  for (const auto& [v, labels] : index->labels_of_) {
-    if (!labels.empty()) ++own_labeled;
+  // Token ids: a token the base knows keeps the base's id; the others are
+  // numbered from the base's TokenIdEnd() in sorted key order. Keys the
+  // merge added come from base labels, so the base knows them, and they
+  // have no provisional id to rewrite.
+  std::vector<uint32_t> final_ids(num_provisional);
+  uint32_t next_id = base->TokenIdEnd();
+  for (const std::string* key : SortedKeys(index->by_token_)) {
+    TokenEntry& entry = index->by_token_.find(*key)->second;
+    const TokenEntry* known = base->FindToken(*key);
+    const uint32_t id = known != nullptr ? known->id : next_id++;
+    if (entry.id != TokenEntry::kNoId) final_ids[entry.id] = id;
+    entry.id = id;
   }
-  // A touched vertex that lost all its labels needs an empty tombstone so
-  // LabelsOf falls through to "no labels", not to the stale base entry.
-  for (rdf::TermId v : sorted) index->labels_of_.try_emplace(v);
+  index->RenumberTokens(final_ids);
+  index->token_id_end_ = next_id;
+
   index->num_indexed_ =
       base->NumIndexedVertices() - base_labeled_touched + own_labeled;
   index->base_ = std::move(base);
   return index;
 }
 
-void EntityIndex::IndexVertex(rdf::TermId v) {
-  const rdf::TermDictionary& dict = graph_.dict();
-  // IRI-derived label.
-  AddLabel(v, dict.text(v));
-  // Explicit rdfs:label literals.
-  for (rdf::TermId label : graph_.Objects(v, graph_.label_predicate())) {
-    AddLabel(v, dict.text(label));
-  }
-}
-
-void EntityIndex::AddLabel(rdf::TermId v, std::string_view raw_label) {
-  std::string norm = NormalizeLabel(raw_label);
-  if (norm.empty()) return;
-  // Leading-article variant: "The Godfather" is mentioned as "Godfather"
-  // once the parser strips the determiner, so index both forms.
-  for (const char* article : {"the ", "a ", "an "}) {
-    if (norm.rfind(article, 0) == 0 && norm.size() > strlen(article)) {
-      AddLabel(v, norm.substr(strlen(article)));
-      break;
-    }
-  }
-  auto& labels = labels_of_[v];
-  if (std::find(labels.begin(), labels.end(), norm) != labels.end()) return;
-
-  by_label_[norm].push_back(v);
-  for (const std::string& token : SplitWhitespace(norm)) {
-    by_token_[token].push_back(v);
-  }
-  labels.push_back(std::move(norm));
-}
-
-void EntityIndex::FinalizePostings() {
-  for (auto& [label, list] : by_label_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  }
-  for (auto& [token, list] : by_token_) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  }
-}
-
 void EntityIndex::SaveBinary(BinaryWriter* out) const {
   // Both postings maps are written in sorted key order.
-  auto write_postings =
-      [&](const std::unordered_map<std::string, std::vector<rdf::TermId>>& m) {
-        std::vector<const std::string*> keys;
-        keys.reserve(m.size());
-        for (const auto& [key, list] : m) keys.push_back(&key);
-        std::sort(keys.begin(), keys.end(),
-                  [](const std::string* a, const std::string* b) {
-                    return *a < *b;
-                  });
-        out->WriteVarint(keys.size());
-        for (const std::string* key : keys) {
-          out->WriteString(*key);
-          out->WritePodVector(m.at(*key));
-        }
-      };
+  auto write_postings = [&](const auto& m) {
+    out->WriteVarint(m.size());
+    for (const std::string* key : SortedKeys(m)) {
+      out->WriteString(*key);
+      out->WritePodVector(PostingsOf(m.find(*key)->second));
+    }
+  };
   write_postings(by_label_);
   write_postings(by_token_);
 
+  // The label table, with the dense vertex slots written sparsely: the
+  // vertices that have labels and the first row of each.
   std::vector<rdf::TermId> vertices;
-  vertices.reserve(labels_of_.size());
-  for (const auto& [v, labels] : labels_of_) vertices.push_back(v);
-  std::sort(vertices.begin(), vertices.end());
-  out->WriteVarint(vertices.size());
-  for (rdf::TermId v : vertices) {
-    const std::vector<std::string>& labels = labels_of_.at(v);
-    out->WriteU32(v);
-    out->WriteVarint(labels.size());
-    for (const std::string& label : labels) out->WriteString(label);
+  std::vector<uint32_t> vertex_rows;
+  vertices.reserve(num_indexed_);
+  vertex_rows.reserve(num_indexed_ + 1);
+  for (size_t v = 0; v + 1 < vertex_rows_.size(); ++v) {
+    if (vertex_rows_[v] == vertex_rows_[v + 1]) continue;
+    vertices.push_back(static_cast<rdf::TermId>(v));
+    vertex_rows.push_back(vertex_rows_[v]);
   }
+  vertex_rows.push_back(static_cast<uint32_t>(labels_.rows()));
+  out->WritePodVector(vertices);
+  out->WritePodVector(vertex_rows);
+  out->WriteString(labels_.text);
+  out->WritePodVector(labels_.text_offsets);
+  out->WritePodVector(labels_.token_offsets);
+  out->WritePodVector(labels_.token_ids);
 }
 
 StatusOr<std::unique_ptr<EntityIndex>> EntityIndex::LoadBinary(
@@ -191,53 +304,105 @@ StatusOr<std::unique_ptr<EntityIndex>> EntityIndex::LoadBinary(
   auto index =
       std::unique_ptr<EntityIndex>(new EntityIndex(graph, LoadTag{}));
   const size_t num_terms = graph.dict().size();
-  auto read_postings =
-      [&](std::unordered_map<std::string, std::vector<rdf::TermId>>* m) {
-        uint64_t count = 0;
-        GANSWER_RETURN_NOT_OK(in->ReadCount(&count));
-        m->reserve(count);
-        for (uint64_t i = 0; i < count; ++i) {
-          std::string key;
-          std::vector<rdf::TermId> list;
-          GANSWER_RETURN_NOT_OK(in->ReadString(&key));
-          GANSWER_RETURN_NOT_OK(in->ReadPodVector(&list));
-          for (size_t j = 0; j < list.size(); ++j) {
-            if (list[j] >= num_terms) {
-              return Status::Corruption("entity index posting out of range");
-            }
-            // The linker merges postings lists by vertex id.
-            if (j > 0 && list[j - 1] >= list[j]) {
-              return Status::Corruption("entity index postings not sorted");
-            }
-          }
-          if (!m->emplace(std::move(key), std::move(list)).second) {
-            return Status::Corruption("duplicate entity index key");
-          }
+  auto read_postings = [&](auto* m, auto&& on_key) -> Status {
+    uint64_t count = 0;
+    GANSWER_RETURN_NOT_OK(in->ReadCount(&count));
+    m->reserve(count);
+    std::string_view previous;
+    for (uint64_t i = 0; i < count; ++i) {
+      std::string key;
+      std::vector<rdf::TermId> list;
+      GANSWER_RETURN_NOT_OK(in->ReadString(&key));
+      // The writer sorts the keys, and a token's id is its rank there.
+      if (i > 0 && key <= previous) {
+        return Status::Corruption("entity index keys not sorted");
+      }
+      GANSWER_RETURN_NOT_OK(in->ReadPodVector(&list));
+      for (size_t j = 0; j < list.size(); ++j) {
+        if (list[j] >= num_terms) {
+          return Status::Corruption("entity index posting out of range");
         }
-        return Status::Ok();
-      };
-  GANSWER_RETURN_NOT_OK(read_postings(&index->by_label_));
-  GANSWER_RETURN_NOT_OK(read_postings(&index->by_token_));
-
-  uint64_t num_vertices = 0;
-  GANSWER_RETURN_NOT_OK(in->ReadCount(&num_vertices));
-  index->labels_of_.reserve(num_vertices);
-  for (uint64_t i = 0; i < num_vertices; ++i) {
-    rdf::TermId v = rdf::kInvalidTerm;
-    GANSWER_RETURN_NOT_OK(in->ReadU32(&v));
-    if (v >= num_terms) {
-      return Status::Corruption("entity index vertex out of range");
+        // The linker merges postings lists by vertex id.
+        if (j > 0 && list[j - 1] >= list[j]) {
+          return Status::Corruption("entity index postings not sorted");
+        }
+      }
+      auto it = m->try_emplace(std::move(key)).first;
+      previous = it->first;
+      PostingsOf(it->second) = std::move(list);
+      on_key(it->second, static_cast<uint32_t>(i));
     }
-    uint64_t num_labels = 0;
-    GANSWER_RETURN_NOT_OK(in->ReadCount(&num_labels));
-    std::vector<std::string>& labels = index->labels_of_[v];
-    labels.reserve(num_labels);
-    for (uint64_t j = 0; j < num_labels; ++j) {
-      std::string label;
-      GANSWER_RETURN_NOT_OK(in->ReadString(&label));
-      labels.push_back(std::move(label));
+    return Status::Ok();
+  };
+  GANSWER_RETURN_NOT_OK(
+      read_postings(&index->by_label_, [](auto&, uint32_t) {}));
+  // A token's id is its position in the key order.
+  GANSWER_RETURN_NOT_OK(read_postings(
+      &index->by_token_, [](TokenEntry& entry, uint32_t i) { entry.id = i; }));
+  const size_t vocabulary = index->by_token_.size();
+  index->token_id_end_ = static_cast<uint32_t>(vocabulary);
+
+  std::vector<rdf::TermId> vertices;
+  std::vector<uint32_t> vertex_rows;
+  LabelTable& labels = index->labels_;
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&vertices));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&vertex_rows));
+  GANSWER_RETURN_NOT_OK(in->ReadString(&labels.text));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&labels.text_offsets));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&labels.token_offsets));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&labels.token_ids));
+
+  // One validation pass: every offset array starts at 0, is monotone and
+  // ends at the size of what it indexes, so no view reads out of bounds.
+  auto check_offsets = [](const std::vector<uint32_t>& offsets, size_t end,
+                          bool strict, const char* what) -> Status {
+    if (offsets.empty() || offsets.front() != 0 || offsets.back() != end) {
+      return Status::Corruption(std::string("entity index ") + what +
+                                " do not span their array");
+    }
+    for (size_t i = 1; i < offsets.size(); ++i) {
+      if (strict ? offsets[i - 1] >= offsets[i] : offsets[i - 1] > offsets[i]) {
+        return Status::Corruption(std::string("entity index ") + what +
+                                  " not ascending");
+      }
+    }
+    return Status::Ok();
+  };
+  GANSWER_RETURN_NOT_OK(check_offsets(labels.text_offsets, labels.text.size(),
+                                      false, "label text offsets"));
+  const size_t rows = labels.rows();
+  if (labels.token_offsets.size() != rows + 1) {
+    return Status::Corruption("entity index token offsets do not match labels");
+  }
+  GANSWER_RETURN_NOT_OK(check_offsets(labels.token_offsets,
+                                      labels.token_ids.size(), true,
+                                      "token offsets"));
+  for (size_t row = 0; row < rows; ++row) {
+    std::span<const uint32_t> span = labels.Tokens(row);
+    for (size_t j = 0; j < span.size(); ++j) {
+      if (span[j] >= vocabulary) {
+        return Status::Corruption("entity index token id out of range");
+      }
+      // Similarity intersects sorted distinct spans.
+      if (j > 0 && span[j - 1] >= span[j]) {
+        return Status::Corruption("entity index label tokens not sorted");
+      }
     }
   }
+  if (vertex_rows.size() != vertices.size() + 1) {
+    return Status::Corruption("entity index vertex rows do not match vertices");
+  }
+  GANSWER_RETURN_NOT_OK(
+      check_offsets(vertex_rows, rows, true, "vertex label ranges"));
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    if (vertices[i] >= num_terms) {
+      return Status::Corruption("entity index vertex out of range");
+    }
+    if (i > 0 && vertices[i - 1] >= vertices[i]) {
+      return Status::Corruption("entity index vertices not sorted");
+    }
+  }
+  index->BuildDenseVertexTable(vertices, vertex_rows);
   return index;
 }
 
@@ -253,20 +418,47 @@ const std::vector<rdf::TermId>& EntityIndex::ExactMatches(
 
 const std::vector<rdf::TermId>& EntityIndex::TokenMatches(
     std::string_view token) const {
-  std::string lower = ToLower(token);
-  for (const EntityIndex* idx = this; idx != nullptr; idx = idx->base_.get()) {
-    auto it = idx->by_token_.find(lower);
-    if (it != idx->by_token_.end()) return it->second;
-  }
-  return empty_;
+  const TokenEntry* entry = FindToken(ToLower(token));
+  return entry != nullptr ? entry->postings : empty_;
 }
 
-const std::vector<std::string>& EntityIndex::LabelsOf(rdf::TermId v) const {
+const EntityIndex::TokenEntry* EntityIndex::FindToken(
+    std::string_view token) const {
   for (const EntityIndex* idx = this; idx != nullptr; idx = idx->base_.get()) {
-    auto it = idx->labels_of_.find(v);
-    if (it != idx->labels_of_.end()) return it->second;
+    auto it = idx->by_token_.find(token);
+    if (it != idx->by_token_.end()) return &it->second;
   }
-  return no_labels_;
+  return nullptr;
+}
+
+const EntityIndex* EntityIndex::FindVertex(rdf::TermId v, size_t* slot) const {
+  for (const EntityIndex* idx = this; idx != nullptr; idx = idx->base_.get()) {
+    if (idx->base_ == nullptr) {
+      if (size_t{v} + 1 >= idx->vertex_rows_.size()) return nullptr;
+      *slot = v;
+      return idx;
+    }
+    auto it = std::lower_bound(idx->vertices_.begin(), idx->vertices_.end(), v);
+    if (it != idx->vertices_.end() && *it == v) {
+      *slot = static_cast<size_t>(it - idx->vertices_.begin());
+      return idx;
+    }
+  }
+  return nullptr;
+}
+
+EntityIndex::LabelList EntityIndex::LabelsOf(rdf::TermId v) const {
+  size_t slot = 0;
+  const EntityIndex* owner = FindVertex(v, &slot);
+  if (owner == nullptr) return LabelList();
+  return LabelList(&owner->labels_, owner->vertex_rows_[slot],
+                   owner->vertex_rows_[slot + 1]);
+}
+
+uint32_t EntityIndex::OverlayMinLabelTokens(rdf::TermId v) const {
+  size_t slot = 0;
+  const EntityIndex* owner = FindVertex(v, &slot);
+  return owner != nullptr ? owner->min_label_tokens_[slot] : 0;
 }
 
 }  // namespace linking

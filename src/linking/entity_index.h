@@ -1,7 +1,11 @@
 #ifndef GANSWER_LINKING_ENTITY_INDEX_H_
 #define GANSWER_LINKING_ENTITY_INDEX_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -21,10 +25,100 @@ namespace linking {
 /// hits <Philadelphia>, <Philadelphia_(film)> and <Philadelphia_76ers>,
 /// which is precisely the ambiguity the paper's pipeline must cope with.
 ///
-/// Two indexes are kept: full normalized label -> vertices (exact lookups)
-/// and single token -> vertices (partial-match candidate generation).
+/// Two maps are kept: full normalized label -> vertices (exact lookups)
+/// and single token -> (token id, vertices) (partial-match candidate
+/// generation). Tokens are interned: a token's id is its rank among the
+/// sorted token keys. The labels themselves live in one flat table: their
+/// text in a char blob, and per label its sorted, distinct token ids, so
+/// the linker compares labels with a query by intersecting sorted u32
+/// spans and never splits or hashes a label.
 class EntityIndex {
  public:
+  /// A token's interned id and its postings (ascending vertex ids).
+  struct TokenEntry {
+    static constexpr uint32_t kNoId = UINT32_MAX;
+    uint32_t id = kNoId;
+    std::vector<rdf::TermId> postings;
+  };
+
+  /// The flat label table: row r is one label, with its text and its token
+  /// ids. Rows of one vertex are consecutive. Offsets are u32, which bounds
+  /// the label text at 4 GiB and the token ids at 2^32 entries.
+  struct LabelTable {
+    std::string text;                         // every label, concatenated
+    std::vector<uint32_t> text_offsets{0};    // rows + 1, into text
+    std::vector<uint32_t> token_offsets{0};   // rows + 1, into token_ids
+    std::vector<uint32_t> token_ids;          // per row sorted and distinct
+
+    size_t rows() const { return text_offsets.size() - 1; }
+    std::string_view Text(size_t row) const {
+      return std::string_view(text).substr(
+          text_offsets[row], text_offsets[row + 1] - text_offsets[row]);
+    }
+    std::span<const uint32_t> Tokens(size_t row) const {
+      return std::span<const uint32_t>(token_ids)
+          .subspan(token_offsets[row],
+                   token_offsets[row + 1] - token_offsets[row]);
+    }
+  };
+
+  /// The labels of one vertex: views into its rows of a label table,
+  /// iterable as the label texts (IRI-derived first).
+  class LabelList {
+   public:
+    class Iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = std::string_view;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = std::string_view;
+
+      Iterator() = default;
+      std::string_view operator*() const { return table_->Text(row_); }
+      Iterator& operator++() {
+        ++row_;
+        return *this;
+      }
+      Iterator operator++(int) {
+        Iterator old = *this;
+        ++row_;
+        return old;
+      }
+      bool operator==(const Iterator& other) const {
+        return row_ == other.row_;
+      }
+
+     private:
+      friend class LabelList;
+      Iterator(const LabelTable* table, size_t row)
+          : table_(table), row_(row) {}
+      const LabelTable* table_ = nullptr;
+      size_t row_ = 0;
+    };
+
+    LabelList() = default;
+    size_t size() const { return last_ - first_; }
+    bool empty() const { return first_ == last_; }
+    std::string_view operator[](size_t i) const {
+      return table_->Text(first_ + i);
+    }
+    /// Sorted distinct token ids of label \p i.
+    std::span<const uint32_t> Tokens(size_t i) const {
+      return table_->Tokens(first_ + i);
+    }
+    Iterator begin() const { return Iterator(table_, first_); }
+    Iterator end() const { return Iterator(table_, last_); }
+
+   private:
+    friend class EntityIndex;
+    LabelList(const LabelTable* table, size_t first, size_t last)
+        : table_(table), first_(first), last_(last) {}
+    const LabelTable* table_ = nullptr;
+    size_t first_ = 0;
+    size_t last_ = 0;
+  };
+
   /// \p graph must be finalized and outlive the index.
   explicit EntityIndex(const rdf::RdfGraph& graph);
 
@@ -36,7 +130,9 @@ class EntityIndex {
   /// rdfs:label out-edges, the class/entity status, the in-degree gate for
   /// name-like literals — is a function of the vertex's own adjacency, and
   /// both endpoints of every changed edge are in \p touched. O(|touched| +
-  /// affected postings), never O(V).
+  /// affected postings), never O(V). Token ids agree with the base's; a
+  /// token the base does not know gets an id at or above the base's
+  /// TokenIdEnd(), so ids are equal exactly when the token strings are.
   static std::unique_ptr<EntityIndex> BuildOverlay(
       const rdf::RdfGraph& graph, std::shared_ptr<const EntityIndex> base,
       const std::vector<rdf::TermId>& touched);
@@ -47,19 +143,38 @@ class EntityIndex {
   /// Vertices one of whose label tokens equals the (lowercased) token.
   const std::vector<rdf::TermId>& TokenMatches(std::string_view token) const;
 
-  /// All normalized labels of vertex \p v (IRI-derived first).
-  const std::vector<std::string>& LabelsOf(rdf::TermId v) const;
+  /// The id and postings of \p token, which must already be lowercase (a
+  /// token of a normalized label); null when no label ever had it.
+  const TokenEntry* FindToken(std::string_view token) const;
 
-  const rdf::RdfGraph& graph() const { return graph_; }
-  size_t NumIndexedVertices() const {
-    return base_ != nullptr ? num_indexed_ : labels_of_.size();
+  /// All normalized labels of vertex \p v (IRI-derived first).
+  LabelList LabelsOf(rdf::TermId v) const;
+
+  /// The fewest distinct tokens among \p v's labels, capped at 255 (a
+  /// smaller value only weakens a bound built on it); 0 when \p v has no
+  /// labels. Inline for a full index: the linker asks once per deferred
+  /// token candidate, thousands of times for a hub token.
+  uint32_t MinLabelTokens(rdf::TermId v) const {
+    if (base_ == nullptr) {
+      return v < min_label_tokens_.size() ? min_label_tokens_[v] : 0;
+    }
+    return OverlayMinLabelTokens(v);
   }
 
-  /// Snapshot serialization of the three label maps, with deterministic key
-  /// order so identical indexes produce identical bytes.
+  /// One past the largest token id this index (or its base) hands out.
+  uint32_t TokenIdEnd() const { return token_id_end_; }
+
+  const rdf::RdfGraph& graph() const { return graph_; }
+  size_t NumIndexedVertices() const { return num_indexed_; }
+
+  /// Snapshot serialization of a full (non-overlay) index, with
+  /// deterministic key order so identical indexes produce identical bytes:
+  /// the label and token postings in sorted key order (a token's id is its
+  /// position there), then the flat label table.
   void SaveBinary(BinaryWriter* out) const;
   /// Restores an index over \p graph (the same graph the saved index was
-  /// built from; postings are restored verbatim, nothing is re-derived).
+  /// built from). Postings and token spans are restored verbatim with bulk
+  /// reads and one validation pass; no label is split or hashed.
   static StatusOr<std::unique_ptr<EntityIndex>> LoadBinary(
       const rdf::RdfGraph& graph, BinaryReader* in);
 
@@ -69,27 +184,58 @@ class EntityIndex {
 
   /// The per-vertex indexing rule shared by the full build and the overlay
   /// build: name-like in-referenced literals and entity/class vertices get
-  /// their labels added, everything else is skipped.
+  /// their labels added, everything else is skipped. Rows are appended to
+  /// labels_, and their token ids are provisional (first-seen order) until
+  /// the build renumbers them.
   void MaybeIndex(rdf::TermId v);
-  void IndexVertex(rdf::TermId v);
-  void AddLabel(rdf::TermId v, std::string_view raw_label);
+  void AddLabel(rdf::TermId v, std::string_view raw_label, size_t first_row);
   /// Construction appends postings without duplicate checks (the scans were
   /// quadratic on hub tokens); this one pass sort+uniques every postings
   /// list. Insertion happens in ascending vertex order, so the sorted lists
   /// equal the old first-occurrence order exactly.
   void FinalizePostings();
+  /// Rewrites the provisional ids in labels_ through \p final_ids and
+  /// re-sorts each row's span.
+  void RenumberTokens(const std::vector<uint32_t>& final_ids);
+  /// Full index: turns the sparse (vertex, first row) list of the build or
+  /// the load into the dense per-vertex row ranges and Lmin array.
+  void BuildDenseVertexTable(const std::vector<rdf::TermId>& vertices,
+                             const std::vector<uint32_t>& vertex_rows);
+  /// The index owning \p v's rows and the slot of \p v in its vertex
+  /// table, or null when no index in the chain knows \p v.
+  const EntityIndex* FindVertex(rdf::TermId v, size_t* slot) const;
+  uint32_t OverlayMinLabelTokens(rdf::TermId v) const;
+
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>()(s);
+    }
+  };
+  template <typename V>
+  using StringMap = std::unordered_map<std::string, V, StringHash,
+                                       std::equal_to<>>;
 
   const rdf::RdfGraph& graph_;
-  std::unordered_map<std::string, std::vector<rdf::TermId>> by_label_;
-  std::unordered_map<std::string, std::vector<rdf::TermId>> by_token_;
-  std::unordered_map<rdf::TermId, std::vector<std::string>> labels_of_;
+  StringMap<std::vector<rdf::TermId>> by_label_;
+  StringMap<TokenEntry> by_token_;
+  LabelTable labels_;
+  // Vertex -> rows of labels_. A full index is dense: slot = vertex id,
+  // vertex_rows_ has one entry per term plus one, and vertices_ is empty.
+  // An overlay lists its touched vertices in vertices_ (ascending, those
+  // that lost every label included, as tombstones) and vertex_rows_ has
+  // one entry per listed vertex plus one.
+  std::vector<rdf::TermId> vertices_;
+  std::vector<uint32_t> vertex_rows_;
+  // Per slot: the fewest distinct tokens among the vertex's labels.
+  std::vector<uint8_t> min_label_tokens_;
+  uint32_t token_id_end_ = 0;
+  size_t num_indexed_ = 0;
   std::vector<rdf::TermId> empty_;
-  std::vector<std::string> no_labels_;
   // Overlay mode: lookups probe this index's maps first (affected keys are
   // always present locally, possibly as empty tombstones) and fall through
-  // to the shared immutable base. Null for a flat index.
+  // to the shared immutable base. Null for a full index.
   std::shared_ptr<const EntityIndex> base_;
-  size_t num_indexed_ = 0;  // overlay mode only
 };
 
 }  // namespace linking

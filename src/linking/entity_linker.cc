@@ -7,6 +7,7 @@
 #include <queue>
 #include <span>
 
+#include "common/search.h"
 #include "common/string_util.h"
 
 namespace ganswer {
@@ -17,12 +18,14 @@ namespace {
 // The fuzzy pass runs only on calls with at most this many candidates.
 constexpr size_t kFuzzyMaxCandidates = 32;
 
-// MaxScore compares a bound computed as 0.4 + 0.6·s/q against scores
-// computed as 0.4 + 0.35·coverage + 0.25·jaccard. The two round
-// differently, so a vertex is pruned only when its bound is below the
-// threshold by more than this, which is far above rounding error. A
-// larger slack only prunes less; it never changes the result.
+// Pruning compares similarity bounds against scores computed as
+// 0.4 + 0.35·coverage + 0.25·jaccard. The two may round differently, so
+// a vertex is pruned only when its bound is below the threshold by more
+// than this, which is far above rounding error. A larger slack only
+// prunes less; it never changes the result.
 constexpr double kBoundSlack = 1e-9;
+
+using Postings = std::span<const rdf::TermId>;
 
 // A vertex of the token union with the number of distinct query tokens
 // its labels contain.
@@ -36,39 +39,91 @@ struct Scored {
   double similarity;
 };
 
+// A token candidate left for the bounded pass, with its similarity bound.
+struct Deferred {
+  rdf::TermId vertex;
+  double bound;
+};
+
 void SortUnique(std::vector<std::string_view>* v) {
   std::sort(v->begin(), v->end());
   v->erase(std::unique(v->begin(), v->end()), v->end());
 }
 
-// The token union of \p tokens (distinct) in ascending vertex order: a
-// q-way merge over the sorted postings that counts, per vertex, how many
-// of the tokens hit it.
-std::vector<TokenHit> CountTokenHits(
-    const EntityIndex& index, const std::vector<std::string_view>& tokens) {
-  std::vector<std::span<const rdf::TermId>> lists;
+// The union of \p lists in ascending vertex order: a k-way merge over the
+// sorted postings that counts, per vertex, how many of the lists hit it.
+std::vector<TokenHit> CountTokenHits(std::vector<Postings> lists) {
   size_t total = 0;
-  for (std::string_view token : tokens) {
-    const std::vector<rdf::TermId>& list = index.TokenMatches(token);
-    if (list.empty()) continue;
-    lists.emplace_back(list);
-    total += list.size();
-  }
+  for (Postings list : lists) total += list.size();
   std::vector<TokenHit> hits;
   hits.reserve(total);
   while (!lists.empty()) {
     rdf::TermId v = lists.front().front();
-    for (const auto& list : lists) v = std::min(v, list.front());
+    for (Postings list : lists) v = std::min(v, list.front());
     uint32_t shared = 0;
-    for (auto& list : lists) {
+    bool drained = false;
+    for (Postings& list : lists) {
       if (list.front() != v) continue;
       list = list.subspan(1);
+      drained |= list.empty();
       ++shared;
     }
-    std::erase_if(lists, [](const auto& list) { return list.empty(); });
+    if (drained) {
+      std::erase_if(lists, [](Postings list) { return list.empty(); });
+    }
     hits.push_back({v, shared});
   }
   return hits;
+}
+
+// Adds to each hit's count the \p probes lists that contain its vertex.
+// Hits ascend, so each list is searched forward from the previous probe.
+void ProbeTokenHits(std::span<const Postings> probes,
+                    std::vector<TokenHit>* hits) {
+  for (Postings list : probes) {
+    auto it = list.begin();
+    for (TokenHit& hit : *hits) {
+      it = GallopingLowerBound(it, list.end(), hit.vertex);
+      if (it == list.end()) break;
+      if (*it == hit.vertex) ++hit.shared;
+    }
+  }
+}
+
+// The size of the intersection of two sorted, distinct id spans.
+size_t CountShared(std::span<const uint32_t> a, std::span<const uint32_t> b) {
+  size_t shared = 0;
+  auto x = a.begin();
+  auto y = b.begin();
+  while (x != a.end() && y != b.end()) {
+    if (*x < *y) {
+      ++x;
+    } else if (*y < *x) {
+      ++y;
+    } else {
+      ++shared;
+      ++x;
+      ++y;
+    }
+  }
+  return shared;
+}
+
+// Upper bound on the similarity of a vertex whose labels contain s of the
+// phrase's q distinct tokens and have at least lmin distinct tokens each.
+// A label of l distinct tokens sharing t <= min(s, l) of them scores
+// 0.4 + 0.35·t/q + 0.25·t/(q + l - t), which grows with t and shrinks
+// with l. If l >= s, it is at most the value at t = s and
+// l = max(lmin, s); if l < s, then lmin < s and it is at most
+// 0.4 + 0.6·l/q < 0.4 + 0.6·s/q, the same value. The expression is the
+// score's own, term for term, so a label that attains it scores the same
+// bits.
+double SimilarityBound(size_t s, size_t q, size_t lmin) {
+  const size_t l = std::max(lmin, s);
+  const double jac =
+      static_cast<double>(s) / static_cast<double>(q + l - s);
+  const double coverage = static_cast<double>(s) / static_cast<double>(q);
+  return 0.4 + 0.35 * coverage + 0.25 * jac;
 }
 
 }  // namespace
@@ -88,36 +143,23 @@ double EntityLinker::Popularity(rdf::TermId v) const {
   return d / log_max_degree_;
 }
 
-double EntityLinker::TokenSimilarity(
-    rdf::TermId v, const std::vector<std::string_view>& query,
-    std::vector<std::string_view>* label_tokens) const {
+double EntityLinker::TokenSimilarity(rdf::TermId v,
+                                     std::span<const uint32_t> query_ids,
+                                     size_t q) const {
   // Similarity rewards the label *containing* the whole mention: the paper
   // needs "Philadelphia" -> <Philadelphia_76ers> and "actor" ->
   // <An_Actor_Prepares> to stay candidates, while "Salt Lake City" ->
   // class <City> (mention barely covered) should not survive an exact
-  // match.
+  // match. Query tokens the index does not know match no label token but
+  // still count in q.
   double best = 0.0;
-  for (const std::string& label : index_->LabelsOf(v)) {
-    SplitWhitespace(label, label_tokens);
-    SortUnique(label_tokens);
-    size_t shared = 0;
-    auto q = query.begin();
-    auto l = label_tokens->begin();
-    while (q != query.end() && l != label_tokens->end()) {
-      if (*q < *l) {
-        ++q;
-      } else if (*l < *q) {
-        ++l;
-      } else {
-        ++shared;
-        ++q;
-        ++l;
-      }
-    }
-    size_t uni = query.size() + label_tokens->size() - shared;
+  const EntityIndex::LabelList labels = index_->LabelsOf(v);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    std::span<const uint32_t> label_tokens = labels.Tokens(i);
+    size_t shared = CountShared(query_ids, label_tokens);
+    size_t uni = q + label_tokens.size() - shared;
     double jac = static_cast<double>(shared) / static_cast<double>(uni);
-    double coverage =
-        static_cast<double>(shared) / static_cast<double>(query.size());
+    double coverage = static_cast<double>(shared) / static_cast<double>(q);
     best = std::max(best, 0.4 + 0.35 * coverage + 0.25 * jac);
   }
   return best;
@@ -177,48 +219,84 @@ std::vector<LinkCandidate> EntityLinker::Link(std::string_view phrase) const {
   // 2) Token candidates: every vertex sharing s >= 1 of the phrase's q
   // distinct tokens. A label scores 0.4 + 0.35·coverage + 0.25·jaccard,
   // and both terms are at most s/q, so 0.4 + 0.6·s/q bounds the score.
+  // Each distinct token is looked up once, for its id (similarity) and its
+  // postings (candidates).
   std::vector<std::string_view> query(tokens.begin(), tokens.end());
   SortUnique(&query);
   const size_t q = query.size();
-  std::vector<TokenHit> hits = CountTokenHits(*index_, query);
-  auto upper_similarity = [q](uint32_t s) {
-    return 0.4 + 0.6 * static_cast<double>(s) / static_cast<double>(q);
-  };
+  std::vector<uint32_t> query_ids;
+  std::vector<Postings> lists;
+  size_t longest = 0;
+  for (std::string_view token : query) {
+    const EntityIndex::TokenEntry* entry = index_->FindToken(token);
+    if (entry == nullptr) continue;
+    query_ids.push_back(entry->id);
+    if (entry->postings.empty()) continue;
+    lists.emplace_back(entry->postings);
+    longest = std::max(longest, entry->postings.size());
+  }
+  std::sort(query_ids.begin(), query_ids.end());
 
   // The fuzzy gate counts |exact ∪ singular ∪ token union|, pruned or not,
   // so which calls run it never depends on pruning. A fuzzy score can
   // reach exactly 0.7 and so survive dominance; calls that run the fuzzy
   // pass therefore score every candidate.
-  size_t num_candidates = num_seeds + hits.size();
-  for (size_t i = 0; i < num_seeds; ++i) {
-    auto it = std::lower_bound(
-        hits.begin(), hits.end(), scored[i].vertex,
-        [](const TokenHit& h, rdf::TermId x) { return h.vertex < x; });
-    if (it != hits.end() && it->vertex == scored[i].vertex) --num_candidates;
+  std::vector<TokenHit> hits;
+  bool fuzzy = false;
+  if (num_seeds > 0 && longest > kFuzzyMaxCandidates) {
+    // Threshold merge. A seed scores >= 0.95, so dominance is certain, and
+    // a list over 32 postings rules the fuzzy pass out. Then only vertices
+    // with s >= m = ceil(q/2) can be emitted (2s < q scores below 0.7).
+    // Such a vertex is in at least one of the n-m+1 shortest lists, so
+    // those generate the candidates and the m-1 longest are only probed.
+    const size_t m = (q + 1) / 2;
+    if (lists.size() >= m) {
+      std::sort(lists.begin(), lists.end(), [](Postings a, Postings b) {
+        return a.size() < b.size();
+      });
+      const auto first_probe = lists.end() - static_cast<ptrdiff_t>(m - 1);
+      hits = CountTokenHits({lists.begin(), first_probe});
+      ProbeTokenHits({first_probe, lists.end()}, &hits);
+      std::erase_if(hits, [m](const TokenHit& h) { return h.shared < m; });
+    }
+  } else {
+    hits = CountTokenHits(std::move(lists));
+    size_t num_candidates = num_seeds + hits.size();
+    for (size_t i = 0; i < num_seeds; ++i) {
+      auto it = std::lower_bound(
+          hits.begin(), hits.end(), scored[i].vertex,
+          [](const TokenHit& h, rdf::TermId x) { return h.vertex < x; });
+      if (it != hits.end() && it->vertex == scored[i].vertex) {
+        --num_candidates;
+      }
+    }
+    fuzzy = num_candidates <= kFuzzyMaxCandidates;
   }
-  const bool fuzzy = num_candidates <= kFuzzyMaxCandidates;
 
   // Vertices that could reach 0.95 (0.4 + 0.6·s/q >= 0.95, i.e.
   // 12s >= 11q: a permuted label, or s = q-1 once q >= 12) decide
   // exact-match dominance, so they are scored up front. The rest are
-  // deferred to the bounded pass below.
-  std::vector<TokenHit> deferred;
-  std::vector<std::string_view> label_tokens;
+  // deferred to the bounded pass below, with the similarity bound of
+  // their s and fewest label tokens.
+  std::vector<Deferred> deferred;
+  deferred.reserve(hits.size());
   for (const TokenHit& hit : hits) {
     const bool must_score = fuzzy || 12 * size_t{hit.shared} >= 11 * q;
     if (Scored* seed = find_seed(hit.vertex)) {
       // An exact match is final; a singular one is only raised by its own
       // token score, which is below 0.95 unless must_score holds.
       if (seed->similarity < 1.0 && must_score) {
-        seed->similarity = std::max(
-            seed->similarity,
-            TokenSimilarity(hit.vertex, query, &label_tokens));
+        seed->similarity =
+            std::max(seed->similarity,
+                     TokenSimilarity(hit.vertex, query_ids, q));
       }
     } else if (must_score) {
       scored.push_back(
-          {hit.vertex, TokenSimilarity(hit.vertex, query, &label_tokens)});
+          {hit.vertex, TokenSimilarity(hit.vertex, query_ids, q)});
     } else {
-      deferred.push_back(hit);
+      deferred.push_back(
+          {hit.vertex, SimilarityBound(hit.shared, q,
+                                       index_->MinLabelTokens(hit.vertex))});
     }
   }
 
@@ -230,7 +308,7 @@ std::vector<LinkCandidate> EntityLinker::Link(std::string_view phrase) const {
   if (fuzzy) {
     for (Scored& c : scored) {
       if (c.similarity >= 0.75) continue;
-      for (const std::string& label : index_->LabelsOf(c.vertex)) {
+      for (std::string_view label : index_->LabelsOf(c.vertex)) {
         double dice = BigramDice(norm, label);
         if (dice >= options_.fuzzy_threshold) {
           c.similarity = std::max(c.similarity, 0.3 + 0.4 * dice);
@@ -275,34 +353,36 @@ std::vector<LinkCandidate> EntityLinker::Link(std::string_view phrase) const {
   };
   for (const Scored& c : scored) emit(c.vertex, c.similarity);
 
-  // 4) MaxScore over the deferred vertices, by descending s. Under
-  // dominance those with 2s < q score below 0.7 and are erased unscored.
-  // A vertex's confidence is at most w·(0.4 + 0.6·s/q) + (1-w)·Popularity(v)
-  // (sims only shrink under dominance); it is scored only if that bound
-  // reaches the max_candidates-th best confidence so far and
-  // min_confidence. Popularity is looked up only when the similarity term
-  // alone does not clear the threshold. A negative similarity weight turns
-  // the bound around, so it never prunes.
+  // 4) MaxScore over the deferred vertices, by descending bound. Under
+  // dominance those whose bound is below 0.7 would be erased, so they are
+  // dropped unscored: for q = 2 and s = 1 only a vertex with a
+  // one-distinct-token label survives. A vertex's confidence is at most
+  // w·bound + (1-w)·Popularity(v) (sims only shrink under dominance); it is
+  // scored only if that reaches the max_candidates-th best confidence so
+  // far and min_confidence. Popularity is looked up only when the
+  // similarity term alone does not clear the threshold. A negative
+  // similarity weight turns the bound around, so it never prunes.
   if (dominated) {
-    std::erase_if(deferred,
-                  [q](const TokenHit& h) { return 2 * size_t{h.shared} < q; });
+    std::erase_if(deferred, [](const Deferred& d) {
+      return d.bound + kBoundSlack < 0.7;
+    });
   }
   std::sort(deferred.begin(), deferred.end(),
-            [](const TokenHit& a, const TokenHit& b) {
-              return a.shared > b.shared;
+            [](const Deferred& a, const Deferred& b) {
+              return a.bound > b.bound;
             });
-  for (const TokenHit& hit : deferred) {
+  for (const Deferred& d : deferred) {
     const double threshold =
         best.size() < options_.max_candidates
             ? options_.min_confidence
             : std::max(options_.min_confidence, best.top());
-    const double sim_bound = w * upper_similarity(hit.shared);
+    const double sim_bound = w * d.bound;
     if (w >= 0 && sim_bound + kBoundSlack < threshold &&
-        sim_bound + (1.0 - w) * Popularity(hit.vertex) + kBoundSlack <
+        sim_bound + (1.0 - w) * Popularity(d.vertex) + kBoundSlack <
             threshold) {
       continue;
     }
-    emit(hit.vertex, TokenSimilarity(hit.vertex, query, &label_tokens));
+    emit(d.vertex, TokenSimilarity(d.vertex, query_ids, q));
   }
 
   std::sort(out.begin(), out.end(),

@@ -1,6 +1,8 @@
 #ifndef GANSWER_LINKING_ENTITY_LINKER_H_
 #define GANSWER_LINKING_ENTITY_LINKER_H_
 
+#include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -28,12 +30,16 @@ struct LinkCandidate {
 /// query evaluation stage's job.
 ///
 /// Token candidates are scored once each and only if they can reach the
-/// output. A vertex hitting s of the phrase's q distinct tokens has
-/// similarity at most 0.4 + 0.6·s/q. When the phrase has more than 32
-/// candidates (so no fuzzy pass), vertices that could reach 0.95 are
-/// scored first, which settles exact-match dominance; under dominance
-/// vertices with 2s < q would be erased and are skipped, and the rest are
-/// visited MaxScore-style, stopping once their confidence bound falls
+/// output. Query tokens and labels are compared as interned token ids
+/// (EntityIndex). A vertex hitting s of the phrase's q distinct tokens,
+/// whose labels have at least Lmin distinct tokens each, has similarity at
+/// most 0.4 + 0.35·s/q + 0.25·s/(q + max(Lmin, s) - s). When the phrase
+/// has more than 32 candidates (so no fuzzy pass), vertices that could
+/// reach 0.95 are scored first, which settles exact-match dominance; under
+/// dominance vertices whose bound is below 0.7 would be erased and are
+/// skipped (with an exact or singular seed and a token list over 32
+/// postings, those with 2s < q are never even generated), and the rest are
+/// visited MaxScore-style, skipping those whose confidence bound falls
 /// below the max_candidates-th best confidence or min_confidence. The
 /// result is identical to scoring every candidate.
 class EntityLinker {
@@ -61,11 +67,10 @@ class EntityLinker {
 
  private:
   double Popularity(rdf::TermId v) const;
-  /// Best token similarity of \p v's labels to \p query (sorted distinct
-  /// tokens); \p label_tokens is scratch space.
-  double TokenSimilarity(rdf::TermId v,
-                         const std::vector<std::string_view>& query,
-                         std::vector<std::string_view>* label_tokens) const;
+  /// Best token similarity of \p v's labels to a phrase of \p q distinct
+  /// tokens, of which the index knows \p query_ids (sorted token ids).
+  double TokenSimilarity(rdf::TermId v, std::span<const uint32_t> query_ids,
+                         size_t q) const;
 
   const EntityIndex* index_;
   Options options_;

@@ -21,11 +21,13 @@ namespace store {
 /// changes or a section is added. Version 2 added the graph-statistics
 /// section (rdf/graph_stats.h). Version 3 added a per-section encoding field,
 /// 8-aligned section payloads and alignment-padded pod arrays (no reader
-/// needs the alignment; it is part of the v3 bytes). Version 3 is the only
-/// format this binary writes or reads: older containers and versions newer
-/// than this binary's are rejected with a "rebuild the snapshot" status.
-inline constexpr uint32_t kSnapshotVersion = 3;
-inline constexpr uint32_t kMinSupportedSnapshotVersion = 3;
+/// needs the alignment; it is part of the bytes). Version 4 stores the
+/// entity index's labels as a flat table with each label's interned token
+/// ids (linking/entity_index.h). Version 4 is the only format this binary
+/// writes or reads: older containers and versions newer than this
+/// binary's are rejected with a "rebuild the snapshot" status.
+inline constexpr uint32_t kSnapshotVersion = 4;
+inline constexpr uint32_t kMinSupportedSnapshotVersion = 4;
 
 /// The section table's encoding field. Raw sections are the pod layouts the
 /// in-memory structures use, copied in with bulk reads. Raw is the only

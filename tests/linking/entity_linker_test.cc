@@ -146,29 +146,142 @@ TEST(EntityIndexTest, ClassLabelsAreIndexed) {
   EXPECT_TRUE(world.kb.graph.IsClass(matches[0]));
 }
 
+// A hand-built entity-index payload over two vertices that share the one
+// label "shared": no exact-label postings, one token, and the flat label
+// table. Each test edits one array and loads it.
+struct IndexPayload {
+  std::vector<std::string> tokens{"shared"};  // each with `postings`
+  std::vector<rdf::TermId> postings;
+  std::vector<rdf::TermId> vertices;
+  std::vector<uint32_t> vertex_rows{0, 1, 2};
+  std::string text = "sharedshared";
+  std::vector<uint32_t> text_offsets{0, 6, 12};
+  std::vector<uint32_t> token_offsets{0, 1, 2};
+  std::vector<uint32_t> token_ids{0, 0};
+};
+
+class IndexLoader {
+ public:
+  IndexLoader() {
+    graph_.AddTriple("Alpha", "rdf:type", "Thing");
+    graph_.AddTriple("Beta", "rdf:type", "Thing");
+    EXPECT_TRUE(graph_.Finalize().ok());
+    low_ = std::min(*graph_.Find("Alpha"), *graph_.Find("Beta"));
+    high_ = std::max(*graph_.Find("Alpha"), *graph_.Find("Beta"));
+    valid_.postings = {low_, high_};
+    valid_.vertices = {low_, high_};
+  }
+
+  Status Load(const IndexPayload& p) {
+    BinaryWriter out;
+    out.WriteVarint(0);  // no exact labels
+    out.WriteVarint(p.tokens.size());
+    for (const std::string& token : p.tokens) {
+      out.WriteString(token);
+      out.WritePodVector(p.postings);
+    }
+    out.WritePodVector(p.vertices);
+    out.WritePodVector(p.vertex_rows);
+    out.WriteString(p.text);
+    out.WritePodVector(p.text_offsets);
+    out.WritePodVector(p.token_offsets);
+    out.WritePodVector(p.token_ids);
+    BinaryReader in(out.buffer());
+    auto index = EntityIndex::LoadBinary(graph_, &in);
+    if (index.ok()) {
+      EXPECT_EQ((*index)->LabelsOf(low_).size(), 1u);
+      EXPECT_EQ((*index)->LabelsOf(high_)[0], "shared");
+      EXPECT_EQ((*index)->MinLabelTokens(high_), 1u);
+    }
+    return index.status();
+  }
+  Status::Code LoadWith(void (*edit)(IndexPayload*)) {
+    IndexPayload p = valid_;
+    edit(&p);
+    return Load(p).code();
+  }
+  const IndexPayload& valid() const { return valid_; }
+  rdf::TermId low() const { return low_; }
+  rdf::TermId high() const { return high_; }
+
+ private:
+  rdf::RdfGraph graph_;
+  rdf::TermId low_ = 0;
+  rdf::TermId high_ = 0;
+  IndexPayload valid_;
+};
+
 TEST(EntityIndexTest, LoadRejectsUnsortedPostings) {
-  rdf::RdfGraph graph;
-  graph.AddTriple("Alpha", "rdf:type", "Thing");
-  graph.AddTriple("Beta", "rdf:type", "Thing");
-  ASSERT_TRUE(graph.Finalize().ok());
-  rdf::TermId alpha = *graph.Find("Alpha");
-  rdf::TermId beta = *graph.Find("Beta");
   // The linker merges postings by vertex id, so a loaded list must be
   // strictly ascending.
-  auto load = [&](std::vector<rdf::TermId> postings) {
-    BinaryWriter out;
-    out.WriteVarint(0);  // no labels
-    out.WriteVarint(1);  // one token
-    out.WriteString("shared");
-    out.WritePodVector(postings);
-    out.WriteVarint(0);  // no per-vertex labels
-    BinaryReader in(out.buffer());
-    return EntityIndex::LoadBinary(graph, &in).status();
-  };
-  EXPECT_TRUE(load({std::min(alpha, beta), std::max(alpha, beta)}).ok());
-  EXPECT_EQ(load({std::max(alpha, beta), std::min(alpha, beta)}).code(),
-            Status::Code::kCorruption);
-  EXPECT_EQ(load({alpha, alpha}).code(), Status::Code::kCorruption);
+  IndexLoader loader;
+  EXPECT_TRUE(loader.Load(loader.valid()).ok())
+      << loader.Load(loader.valid()).ToString();
+  IndexPayload p = loader.valid();
+  p.postings = {loader.high(), loader.low()};
+  EXPECT_EQ(loader.Load(p).code(), Status::Code::kCorruption);
+  p.postings = {loader.low(), loader.low()};
+  EXPECT_EQ(loader.Load(p).code(), Status::Code::kCorruption);
+}
+
+// Every array of the flat label table is validated before any view is
+// handed out, so a forged payload fails with Corruption, never a crash.
+TEST(EntityIndexTest, LoadRejectsMalformedLabelTable) {
+  constexpr auto kCorruption = Status::Code::kCorruption;
+  IndexLoader loader;
+  // Token keys: strictly ascending, since a token's id is its rank.
+  IndexPayload two_tokens = loader.valid();
+  two_tokens.tokens = {"alpha", "shared"};
+  EXPECT_TRUE(loader.Load(two_tokens).ok());
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) {
+              p->tokens = {"shared", "alpha"};
+            }),
+            kCorruption);
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) {
+              p->tokens = {"shared", "shared"};
+            }),
+            kCorruption);
+  // Label text offsets: monotone, from 0 to the blob's end.
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->text_offsets = {0, 7, 6}; }),
+            kCorruption);
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->text_offsets = {0, 6, 13}; }),
+            kCorruption);
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->text_offsets = {1, 6, 12}; }),
+            kCorruption);
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->text_offsets.clear(); }),
+            kCorruption);
+  // Per-vertex label ranges: non-empty, ending at the label count.
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->vertex_rows = {0, 2, 2}; }),
+            kCorruption);
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->vertex_rows = {0, 1, 3}; }),
+            kCorruption);
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->vertex_rows = {0, 2}; }),
+            kCorruption);
+  // The vertex list: strictly ascending and inside the graph.
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) {
+              std::swap(p->vertices[0], p->vertices[1]);
+            }),
+            kCorruption);
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->vertices[1] = 1u << 30; }),
+            kCorruption);
+  // Spans: non-empty, strictly ascending, ids below the vocabulary size.
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) {
+              p->token_offsets = {0, 0, 2};
+              p->token_ids = {0, 0};
+            }),
+            kCorruption);
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) {
+              p->token_offsets = {0, 2, 3};
+              p->token_ids = {0, 0, 0};
+            }),
+            kCorruption);
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->token_ids = {0, 1}; }),
+            kCorruption);
+  // Span offsets: one per label plus one, ending at the id count.
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->token_offsets = {0, 2}; }),
+            kCorruption);
+  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->token_offsets = {0, 1, 3}; }),
+            kCorruption);
 }
 
 TEST(EntityIndexTest, NumericLiteralsAreNotIndexed) {
@@ -355,6 +468,77 @@ TEST_F(LinkerBoundaryTest, TwoTokenPhraseWithHubTokenPrunesNothing) {
   auto top = Link("acme 2 corp", one);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].vertex, *graph_.Find("Acme_corp"));
+}
+
+TEST_F(LinkerBoundaryTest, TwoTokenHubPhraseKeepsOnlyOneTokenLabels) {
+  // q = 2 with an exact match: a hub vertex shares s = 1 token, and under
+  // dominance it survives only through a label with one distinct token
+  // (0.4 + 0.175 + 0.25·1/2 = 0.7). Lmin(v) >= 2 bounds every other label
+  // below 0.7, so those hub vertices are dropped unscored.
+  AddEntity("Mystic_mystic_2");
+  AddEntity("2");                          // the hub token alone
+  AddEntity("Double_two", {"2 2"});        // one distinct token
+  AddEntity("Solo", {"solo 2"});           // Lmin 1, but no 0.7 label
+  AddFillers("2", 60);                     // only multi-token labels
+  Finalize();
+  ASSERT_GT(NumCandidates("mystic mystic 2"), 32u);
+  ASSERT_EQ(index_->MinLabelTokens(*graph_.Find("Double_two")), 1u);
+  ASSERT_EQ(index_->MinLabelTokens(*graph_.Find("Filler_2_f0")), 3u);
+  auto cands = Link("mystic mystic 2");
+  ASSERT_EQ(cands.size(), 3u);
+  EXPECT_EQ(cands[0].vertex, *graph_.Find("Mystic_mystic_2"));
+  EXPECT_TRUE(Has(cands, "2"));
+  EXPECT_TRUE(Has(cands, "Double_two"));
+  EXPECT_FALSE(Has(cands, "Solo"));
+  EXPECT_FALSE(Has(cands, "Filler_2_f0"));
+}
+
+// q = 3 with a hub token and a seed: only vertices with s >= 2 can be
+// emitted, so the two short lists generate them and the hub is probed.
+// Vertices in both short lists and in one short list plus the hub are
+// found; hub-only and single-short-list vertices are never generated.
+TEST_F(LinkerBoundaryTest, ThreeTokenHubPhraseWithExactSeed) {
+  AddEntity("Alma_banik_2");
+  AddEntity("Alma_banik");                 // both short lists
+  AddEntity("Alma_2");                     // one short list + hub
+  AddEntity("Banik_x_y_z_w_2");            // s = 2, a long label
+  AddEntity("Alma_only");                  // one short list
+  AddFillers("2", 60);                     // hub only
+  Finalize();
+  ASSERT_TRUE(ganswer::testing::ShapeOf(*index_, "alma banik 2").exact);
+  ASSERT_GT(NumCandidates("alma banik 2"), 32u);
+  auto cands = Link("alma banik 2");
+  ASSERT_EQ(cands.size(), 4u);
+  EXPECT_EQ(cands[0].vertex, *graph_.Find("Alma_banik_2"));
+  EXPECT_TRUE(Has(cands, "Alma_banik"));
+  EXPECT_TRUE(Has(cands, "Alma_2"));
+  // 0.4 + 0.35·2/3 + 0.25·2/7 = 0.705 survives dominance.
+  EXPECT_TRUE(Has(cands, "Banik_x_y_z_w_2"));
+  EXPECT_FALSE(Has(cands, "Alma_only"));
+  EXPECT_FALSE(Has(cands, "Filler_2_f0"));
+}
+
+TEST_F(LinkerBoundaryTest, ThreeTokenHubPhraseWithSingularSeed) {
+  // "alma 2 baniks" names nothing exactly; its singular "alma 2 banik"
+  // does, at 0.95, which settles dominance just the same.
+  AddEntity("Alma_2_banik");
+  AddEntity("Alma_baniks");                // both short lists
+  AddEntity("Baniks_2");                   // one short list + hub
+  AddEntity("Baniks_only");                // one short list
+  AddFillers("2", 60);                     // hub only
+  Finalize();
+  ASSERT_TRUE(index_->ExactMatches("alma 2 baniks").empty());
+  ASSERT_TRUE(ganswer::testing::ShapeOf(*index_, "alma 2 baniks").exact);
+  ASSERT_GT(NumCandidates("alma 2 baniks"), 32u);
+  auto cands = Link("alma 2 baniks");
+  ASSERT_EQ(cands.size(), 3u);
+  EXPECT_EQ(cands[0].vertex, *graph_.Find("Alma_2_banik"));
+  EXPECT_DOUBLE_EQ(cands[0].confidence,
+                   0.75 * 0.95 + 0.25 * Popularity("Alma_2_banik"));
+  EXPECT_TRUE(Has(cands, "Alma_baniks"));
+  EXPECT_TRUE(Has(cands, "Baniks_2"));
+  EXPECT_FALSE(Has(cands, "Baniks_only"));
+  EXPECT_FALSE(Has(cands, "Filler_2_f0"));
 }
 
 }  // namespace

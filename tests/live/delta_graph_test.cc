@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "nlp/lexicon.h"
 #include "paraphrase/paraphrase_dictionary.h"
 #include "store/snapshot.h"
@@ -217,13 +219,50 @@ TEST(DeltaGraphTest, OverlayIndexesMatchFreshlyBuiltOnes) {
     std::sort(want.begin(), want.end());
     EXPECT_EQ(got, want) << "token matches of " << token;
   }
-  for (const char* name : {"Alice", "Bob", "Dave"}) {
-    auto got = view.entities->LabelsOf(*g.Find(name));
-    auto want = fresh_entities.LabelsOf(*g.Find(name));
-    std::sort(got.begin(), got.end());
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(got, want) << "labels of " << name;
+  // Labels and their token spans. Overlay ids legitimately differ from a
+  // rebuild's ranks ("bobby" is new to the base), so spans are compared
+  // by token string: each index's ids are translated back through its own
+  // FindToken over every token of the merged graph's labels.
+  std::set<std::string> vocabulary;
+  for (TermId v = 0; v < g.dict().size(); ++v) {
+    for (std::string_view label : fresh_entities.LabelsOf(v)) {
+      for (std::string& token : SplitWhitespace(label)) {
+        vocabulary.insert(std::move(token));
+      }
+    }
   }
+  auto label_rows = [&](const linking::EntityIndex& index, TermId v) {
+    std::map<uint32_t, std::string> token_of;
+    for (const std::string& token : vocabulary) {
+      const linking::EntityIndex::TokenEntry* entry = index.FindToken(token);
+      if (entry != nullptr) token_of[entry->id] = token;
+    }
+    std::vector<std::string> rows;
+    linking::EntityIndex::LabelList labels = index.LabelsOf(v);
+    for (size_t i = 0; i < labels.size(); ++i) {
+      std::set<std::string> tokens;
+      for (uint32_t id : labels.Tokens(i)) {
+        auto it = token_of.find(id);
+        tokens.insert(it != token_of.end() ? it->second : "<unknown id>");
+      }
+      rows.push_back(std::string(labels[i]) + " | " +
+                     Join({tokens.begin(), tokens.end()}, " "));
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  for (const char* name : {"Alice", "Bob", "Carol", "Dave"}) {
+    TermId v = *g.Find(name);
+    EXPECT_EQ(label_rows(*view.entities, v), label_rows(fresh_entities, v))
+        << "labels of " << name;
+    EXPECT_EQ(view.entities->MinLabelTokens(v), fresh_entities.MinLabelTokens(v))
+        << "fewest label tokens of " << name;
+  }
+  ASSERT_NE(view.entities->FindToken("bobby"), nullptr);
+  EXPECT_GE(view.entities->FindToken("bobby")->id,
+            delta.base()->entity_index->TokenIdEnd());
+  EXPECT_EQ(view.entities->FindToken("alice")->id,
+            delta.base()->entity_index->FindToken("alice")->id);
 }
 
 }  // namespace

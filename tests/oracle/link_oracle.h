@@ -74,7 +74,7 @@ inline std::vector<linking::LinkCandidate> ReferenceLink(
       auto [it, inserted] = similarity.try_emplace(v, 0.0);
       if (!inserted && it->second >= 1.0) continue;
       double best = it->second;
-      for (const std::string& label : index.LabelsOf(v)) {
+      for (std::string_view label : index.LabelsOf(v)) {
         std::vector<std::string> label_tokens = SplitWhitespace(label);
         size_t covered = 0;
         size_t shared = 0;
@@ -105,7 +105,7 @@ inline std::vector<linking::LinkCandidate> ReferenceLink(
   if (similarity.size() <= 32) {
     for (auto& [v, sim] : similarity) {
       if (sim >= 0.75) continue;
-      for (const std::string& label : index.LabelsOf(v)) {
+      for (std::string_view label : index.LabelsOf(v)) {
         double dice = BigramDice(norm, label);
         if (dice >= options.fuzzy_threshold) {
           sim = std::max(sim, 0.3 + 0.4 * dice);

@@ -42,7 +42,7 @@ using linking::LinkCandidate;
 std::vector<std::string> AllLabels(const EntityIndex& index) {
   std::set<std::string> labels;
   for (rdf::TermId v = 0; v < index.graph().dict().size(); ++v) {
-    for (const std::string& label : index.LabelsOf(v)) labels.insert(label);
+    for (std::string_view label : index.LabelsOf(v)) labels.emplace(label);
   }
   return {labels.begin(), labels.end()};
 }
@@ -178,11 +178,15 @@ void ExpectSameAsReference(const EntityIndex& index,
 }
 
 /// A live overlay index over \p graph: a snapshot of it under a delta that
-/// adds entities labelled with hub tokens and drops labels and types of
-/// existing ones, so hub postings are merged between base and overlay.
+/// adds entities labelled with hub tokens, gives base entities labels with
+/// tokens the base has never seen (so the overlay interns ids past the
+/// base vocabulary), and drops labels and types of existing ones, so hub
+/// postings are merged between base and overlay. \p novel_phrases are
+/// phrases over the new tokens, to be linked besides the base's.
 struct LiveIndex {
   nlp::Lexicon lexicon;
   store::live::DeltaGraph::View view;
+  std::vector<std::string> novel_phrases;
 };
 
 std::unique_ptr<LiveIndex> BuildLiveIndex(const rdf::RdfGraph& graph,
@@ -209,7 +213,23 @@ std::unique_ptr<LiveIndex> BuildLiveIndex(const rdf::RdfGraph& graph,
                    rdf::TermKind::kLiteral, false});
   }
   const rdf::TermDictionary& terms = graph.dict();
-  for (rdf::TermId v = 0; v < terms.size() && ops.size() < 120; ++v) {
+  const EntityIndex& base_index = *delta.base()->entity_index;
+  for (rdf::TermId v = 0, added = 0; v < terms.size() && added < 20; ++v) {
+    if (!graph.IsEntity(v) || rng.Next(20) != 0) continue;
+    const std::string novel = "novel" + std::to_string(added++) + "x";
+    const std::string hub = rng.Pick(hubs);
+    ops.push_back({std::string(terms.text(v)), "rdfs:label",
+                   novel + " " + hub, rdf::TermKind::kLiteral, false});
+    for (std::string_view label : base_index.LabelsOf(v)) {
+      live->novel_phrases.push_back(std::string(label) + " " + novel);
+    }
+    live->novel_phrases.push_back(novel);
+    live->novel_phrases.push_back(novel + " " + hub);
+    live->novel_phrases.push_back(hub + " " + novel + " " + rng.Pick(hubs));
+  }
+  const size_t first_delete = ops.size();
+  for (rdf::TermId v = 0;
+       v < terms.size() && ops.size() - first_delete < 40; ++v) {
     if (!graph.IsEntity(v) || rng.Next(50) != 0) continue;
     for (const rdf::Edge& e : graph.OutEdges(v)) {
       bool literal = terms.IsLiteral(e.neighbor);
@@ -238,6 +258,13 @@ void RunOracle(const datagen::KbGenerator::GeneratedKb& kb, bool live,
       auto overlay =
           BuildLiveIndex(kb.graph, HubTokens(flat, AllLabels(flat), 12), seed);
       ASSERT_NE(overlay, nullptr);
+      ASSERT_FALSE(overlay->novel_phrases.empty());
+      const EntityIndex::TokenEntry* novel =
+          overlay->view.entities->FindToken("novel0x");
+      ASSERT_NE(novel, nullptr);
+      EXPECT_GE(novel->id, flat.TokenIdEnd());
+      phrases.insert(phrases.end(), overlay->novel_phrases.begin(),
+                     overlay->novel_phrases.end());
       ExpectSameAsReference(*overlay->view.entities, phrases, &coverage);
     } else {
       ExpectSameAsReference(flat, phrases, &coverage);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -101,7 +102,18 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
             fresh_index.ExactMatches("Alice Smith"));
   EXPECT_EQ(loaded->entity_index->TokenMatches("alice"),
             fresh_index.TokenMatches("alice"));
-  EXPECT_EQ(loaded->entity_index->LabelsOf(alice), fresh_index.LabelsOf(alice));
+  // Labels: same texts and the same interned token spans, row for row.
+  linking::EntityIndex::LabelList got = loaded->entity_index->LabelsOf(alice);
+  linking::EntityIndex::LabelList want = fresh_index.LabelsOf(alice);
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_FALSE(want.empty());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]);
+    EXPECT_TRUE(std::ranges::equal(got.Tokens(i), want.Tokens(i))) << want[i];
+  }
+  EXPECT_EQ(loaded->entity_index->MinLabelTokens(alice),
+            fresh_index.MinLabelTokens(alice));
+  EXPECT_EQ(loaded->entity_index->TokenIdEnd(), fresh_index.TokenIdEnd());
 
   // Dictionary: phrases, lemmas, entries, paths, inverted index.
   const paraphrase::ParaphraseDictionary& d = *loaded->dictionary;

@@ -1,6 +1,6 @@
-// The v3 storage tier: a file load must reconstruct the same bundle as the
-// in-memory load, legacy v2 containers and non-raw section encodings must
-// be rejected, and corruption in any section must be rejected — through the
+// The storage tier: a file load must reconstruct the same bundle as the
+// in-memory load, legacy v2 and v3 containers and non-raw section
+// encodings must be rejected, and corruption in any section must be rejected — through the
 // CRC and, when the CRC is forged, through the section loaders' own
 // validation. Paths that cannot be read are I/O errors.
 
@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -93,11 +94,23 @@ TEST(StorageTierTest, FileLoadReconstructsIdentically) {
 }
 
 TEST(StorageTierTest, LegacyVersionTwoContainerIsRejected) {
-  // v3 is the only readable layout: a container claiming version 2 (the
+  // v4 is the only readable layout: a container claiming version 2 (the
   // u32 after the 8-byte magic and 4-byte byte-order mark) must fail with
   // the rebuild hint instead of being parsed with the narrower v2 table.
   std::string bytes = Write();
   bytes[12] = 2;
+  auto loaded = ReadSnapshot(bytes, &World().lexicon);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption());
+  EXPECT_NE(loaded.status().ToString().find("rebuild the snapshot"),
+            std::string::npos);
+}
+
+TEST(StorageTierTest, LegacyVersionThreeContainerIsRejected) {
+  // A v3 container has the same table but an entity index without the
+  // flat label table and token spans: rebuild, never misparse.
+  std::string bytes = Write();
+  bytes[12] = 3;
   auto loaded = ReadSnapshot(bytes, &World().lexicon);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsCorruption());
@@ -115,7 +128,7 @@ struct SectionEntry {
 };
 
 std::vector<SectionEntry> ParseTable(const std::string& bytes) {
-  // v3 header: magic(8) bom(4) version(4) count(4), then 28-byte entries.
+  // Header: magic(8) bom(4) version(4) count(4), then 28-byte entries.
   std::vector<SectionEntry> sections;
   uint32_t count = 0;
   std::memcpy(&count, bytes.data() + 16, sizeof(count));
@@ -148,6 +161,7 @@ void ForgeCrc(std::string* bytes, const SectionEntry& section) {
 }
 
 constexpr uint32_t kGraphSectionId = 1;
+constexpr uint32_t kEntityIndexSectionId = 3;
 constexpr uint32_t kDictionarySectionId = 4;
 
 TEST(StorageTierTest, NonRawSectionEncodingIsRejected) {
@@ -244,6 +258,173 @@ TEST(StorageTierTest, TermOffsetPastArenaIsRejected) {
   auto loaded = ReadSnapshot(bytes, &World().lexicon);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
+}
+
+// Where the entity index section keeps the payload of each array of its
+// flat label table, as file offsets.
+struct LabelTableLayout {
+  size_t vertices = 0, vertex_rows = 0, text_offsets = 0, token_offsets = 0,
+         token_ids = 0;
+  size_t num_vertices = 0, text_size = 0, num_labels = 0, num_token_ids = 0;
+  size_t vocabulary = 0;
+};
+
+LabelTableLayout ParseLabelTable(const std::string& bytes,
+                                 const SectionEntry& section) {
+  LabelTableLayout layout;
+  std::string_view payload =
+      std::string_view(bytes).substr(section.offset, section.size);
+  BinaryReader r(payload);
+  r.set_aligned(true);
+  // File offset just past what r has read so far.
+  auto at = [&] { return section.offset + section.size - r.remaining(); };
+  for (int map = 0; map < 2; ++map) {
+    uint64_t keys = 0;
+    EXPECT_TRUE(r.ReadCount(&keys).ok());
+    if (map == 1) layout.vocabulary = keys;
+    for (uint64_t i = 0; i < keys; ++i) {
+      std::string key;
+      std::vector<uint32_t> postings;
+      EXPECT_TRUE(r.ReadString(&key).ok());
+      EXPECT_TRUE(r.ReadPodVector(&postings).ok());
+    }
+  }
+  std::vector<uint32_t> column;
+  auto read_column = [&](size_t* offset, size_t* count) {
+    EXPECT_TRUE(r.ReadPodVector(&column).ok());
+    *offset = at() - column.size() * sizeof(uint32_t);
+    if (count != nullptr) *count = column.size();
+  };
+  read_column(&layout.vertices, &layout.num_vertices);
+  read_column(&layout.vertex_rows, nullptr);
+  std::string text;
+  EXPECT_TRUE(r.ReadString(&text).ok());
+  layout.text_size = text.size();
+  read_column(&layout.text_offsets, &layout.num_labels);
+  --layout.num_labels;
+  read_column(&layout.token_offsets, nullptr);
+  read_column(&layout.token_ids, &layout.num_token_ids);
+  EXPECT_TRUE(r.AtEnd());
+  return layout;
+}
+
+uint32_t GetU32(const std::string& bytes, size_t at) {
+  uint32_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+void PutU32(std::string* bytes, size_t at, uint32_t v) {
+  std::memcpy(bytes->data() + at, &v, sizeof(v));
+}
+
+TEST(StorageTierTest, ForgedLabelTableArraysAreRejected) {
+  // Targeted edits of every array of the entity index's flat label table,
+  // each behind a forged CRC: the loader's own validation must answer
+  // Corruption, never hand out a view past an array's end. The KB's
+  // entities have multi-token names, so spans have several ids.
+  rdf::RdfGraph graph;
+  for (const char* name : {"Red_River_Valley", "Blue_Lake", "Green_Hill_Farm",
+                           "Old_Mill", "North_Gate_Tower"}) {
+    graph.AddTriple(name, "rdf:type", "Place");
+  }
+  ASSERT_TRUE(graph.Finalize().ok());
+  paraphrase::ParaphraseDictionary no_phrases(&World().lexicon);
+  std::string bytes;
+  ASSERT_TRUE(WriteSnapshot(graph, no_phrases, &bytes).ok());
+  ASSERT_TRUE(ReadSnapshot(bytes, &World().lexicon).ok());
+
+  const std::vector<SectionEntry> sections = ParseTable(bytes);
+  const SectionEntry& entities = FindSection(sections, kEntityIndexSectionId);
+  const LabelTableLayout layout = ParseLabelTable(bytes, entities);
+  ASSERT_GE(layout.num_vertices, 3u);
+  ASSERT_GE(layout.num_labels, 3u);
+  ASSERT_GT(layout.vocabulary, 0u);
+  // A label with at least two token ids, for the span-order edit.
+  size_t wide_begin = layout.num_token_ids;
+  for (size_t i = 0; i < layout.num_labels; ++i) {
+    uint32_t begin = GetU32(bytes, layout.token_offsets + 4 * i);
+    uint32_t end = GetU32(bytes, layout.token_offsets + 4 * (i + 1));
+    if (end - begin >= 2) {
+      wide_begin = begin;
+      break;
+    }
+  }
+  ASSERT_LT(wide_begin, layout.num_token_ids);
+
+  // Each edit names the check that must catch it.
+  struct Edit {
+    const char* what;
+    const char* check;
+    std::function<void(std::string*)> apply;
+  };
+  const Edit edits[] = {
+      {"label text offset past the blob", "label text offsets not ascending",
+       [&](std::string* b) {
+         PutU32(b, layout.text_offsets + 4, uint32_t(layout.text_size) + 1);
+       }},
+      {"label text offsets descending", "label text offsets not ascending",
+       [&](std::string* b) {
+         PutU32(b, layout.text_offsets + 8,
+                GetU32(*b, layout.text_offsets + 4) - 1);
+       }},
+      {"last label text offset short of the blob", "label text offsets do not span",
+       [&](std::string* b) {
+         PutU32(b, layout.text_offsets + 4 * layout.num_labels,
+                uint32_t(layout.text_size) - 1);
+       }},
+      {"empty vertex label range", "vertex label ranges not ascending",
+       [&](std::string* b) {
+         PutU32(b, layout.vertex_rows + 4, 0);
+       }},
+      {"vertex label range past the labels", "vertex label ranges do not span",
+       [&](std::string* b) {
+         PutU32(b, layout.vertex_rows + 4 * layout.num_vertices,
+                uint32_t(layout.num_labels) + 1);
+       }},
+      {"vertices not ascending", "vertices not sorted",
+       [&](std::string* b) {
+         uint32_t first = GetU32(*b, layout.vertices);
+         PutU32(b, layout.vertices, GetU32(*b, layout.vertices + 4));
+         PutU32(b, layout.vertices + 4, first);
+       }},
+      {"vertex out of the graph", "vertex out of range",
+       [&](std::string* b) {
+         PutU32(b, layout.vertices + 4 * (layout.num_vertices - 1),
+                0x7fffffffu);
+       }},
+      {"token id at the vocabulary size", "token id out of range",
+       [&](std::string* b) {
+         PutU32(b, layout.token_ids, uint32_t(layout.vocabulary));
+       }},
+      {"token span not ascending", "label tokens not sorted",
+       [&](std::string* b) {
+         size_t at = layout.token_ids + 4 * wide_begin;
+         uint32_t first = GetU32(*b, at);
+         PutU32(b, at, GetU32(*b, at + 4));
+         PutU32(b, at + 4, first);
+       }},
+      {"empty token span", "token offsets not ascending",
+       [&](std::string* b) {
+         PutU32(b, layout.token_offsets + 4, 0);
+       }},
+      {"token offsets past the ids", "token offsets do not span",
+       [&](std::string* b) {
+         PutU32(b, layout.token_offsets + 4 * layout.num_labels,
+                uint32_t(layout.num_token_ids) + 1);
+       }},
+  };
+  for (const Edit& edit : edits) {
+    std::string mutated = bytes;
+    edit.apply(&mutated);
+    ASSERT_NE(mutated, bytes) << edit.what;
+    ForgeCrc(&mutated, entities);
+    auto loaded = ReadSnapshot(mutated, &World().lexicon);
+    ASSERT_FALSE(loaded.ok()) << edit.what;
+    EXPECT_TRUE(loaded.status().IsCorruption())
+        << edit.what << ": " << loaded.status().ToString();
+    EXPECT_NE(loaded.status().ToString().find(edit.check), std::string::npos)
+        << edit.what << ": " << loaded.status().ToString();
+  }
 }
 
 TEST(StorageTierTest, HugePhraseCountIsRejected) {
