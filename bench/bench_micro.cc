@@ -20,12 +20,14 @@
 #include "linking/entity_linker.h"
 #include "match/candidates.h"
 #include "nlp/dependency_parser.h"
+#include "paraphrase/paraphrase_dictionary.h"
 #include "paraphrase/path_finder.h"
 #include "qa/ganswer.h"
 #include "rdf/graph_stats.h"
 #include "rdf/signature_index.h"
 #include "rdf/sparql_engine.h"
 #include "rdf/sparql_parser.h"
+#include "store/snapshot.h"
 
 namespace {
 
@@ -224,6 +226,39 @@ void BM_EntityIndexLoad(benchmark::State& state) {
                           static_cast<int64_t>(out.size()));
 }
 BENCHMARK(BM_EntityIndexLoad)->Unit(benchmark::kMillisecond);
+
+// The whole 16x snapshot (no paraphrases) loaded from memory, as
+// ReadSnapshotFile does after its read: section CRCs, then every section
+// loader, the term dictionary's table and the entity index included.
+void BM_SnapshotLoad(benchmark::State& state) {
+  const HubLinkWorld& w = HubWorld();
+  static const nlp::Lexicon lexicon;
+  paraphrase::ParaphraseDictionary no_phrases(&lexicon);
+  std::string bytes;
+  if (!store::WriteSnapshot(w.kb.graph, no_phrases, &bytes).ok()) std::abort();
+  for (auto _ : state) {
+    auto snapshot = store::ReadSnapshot(bytes, &lexicon);
+    if (!snapshot.ok()) std::abort();
+    benchmark::DoNotOptimize(snapshot);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond);
+
+// CRC-32 over 6 MB, about the size of the 16x snapshot, whose sections
+// the reader checksums on every load.
+void BM_Crc32(benchmark::State& state) {
+  std::mt19937 rng(42);
+  std::string bytes(6 << 20, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMillisecond);
 
 /// A class with \p n instances, each also typed by one of five
 /// subclasses, where 90% of the instances have a birthPlace edge and 25% a

@@ -13,7 +13,9 @@
 namespace ganswer {
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib one) of \p n bytes. Chain blocks
-/// by passing the previous result as \p seed.
+/// by passing the previous result as \p seed. Slicing-by-8: eight table
+/// lookups per 8-byte word, read little-endian on any host, so the value
+/// equals the bytewise table CRC everywhere.
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// \brief Append-only binary encoder backing the snapshot subsystem.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <functional>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/binary_io.h"
@@ -13,8 +15,18 @@ namespace linking {
 
 namespace {
 
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>()(s);
+  }
+};
+template <typename V>
+using StringMap =
+    std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
+
 // The postings of a label-map value (the list itself) or a token-map
-// value (a TokenEntry).
+// value (a BuildMaps::Token).
 template <typename Value>
 auto& PostingsOf(Value& value) {
   if constexpr (requires { value.postings; }) {
@@ -41,48 +53,157 @@ uint8_t FewestTokens(const EntityIndex::LabelTable& labels, size_t first,
   return static_cast<uint8_t>(fewest);
 }
 
-// The map's keys in ascending order.
+// The map's entries in ascending key order.
 template <typename Map>
-std::vector<const std::string*> SortedKeys(const Map& m) {
-  std::vector<const std::string*> keys;
-  keys.reserve(m.size());
-  for (const auto& [key, value] : m) keys.push_back(&key);
-  std::sort(keys.begin(), keys.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  return keys;
+std::vector<typename Map::value_type*> SortedEntries(Map& m) {
+  std::vector<typename Map::value_type*> entries;
+  entries.reserve(m.size());
+  for (auto& entry : m) entries.push_back(&entry);
+  std::sort(entries.begin(), entries.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return entries;
+}
+
+// Every offset array starts at 0, is monotone (strictly, when \p strict)
+// and ends at the size of what it indexes, so no view reads out of bounds.
+Status CheckOffsets(const std::vector<uint32_t>& offsets, size_t end,
+                    bool strict, const std::string& what) {
+  if (offsets.empty() || offsets.front() != 0 || offsets.back() != end) {
+    return Status::Corruption("entity index " + what +
+                              " do not span their array");
+  }
+  for (size_t i = 1; i < offsets.size(); ++i) {
+    if (strict ? offsets[i - 1] >= offsets[i] : offsets[i - 1] > offsets[i]) {
+      return Status::Corruption("entity index " + what + " not ascending");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
 
+struct EntityIndex::BuildMaps {
+  struct Token {
+    static constexpr uint32_t kNoId = UINT32_MAX;
+    uint32_t id = kNoId;  // provisional: first-seen order
+    std::vector<rdf::TermId> postings;
+  };
+  // Postings are appended without duplicate checks (the scans were
+  // quadratic on hub tokens) and sort+uniqued once, when frozen. Insertion
+  // happens in ascending vertex order, so the sorted lists equal the old
+  // first-occurrence order exactly.
+  StringMap<std::vector<rdf::TermId>> labels;
+  StringMap<Token> tokens;
+};
+
+size_t EntityIndex::PostingsTable::Find(std::string_view key) const {
+  const uint32_t i =
+      positions.Find(std::hash<std::string_view>()(key),
+                     [&](uint32_t candidate) { return Key(candidate) == key; });
+  return i == IdTable::kEmpty ? size() : i;
+}
+
+void EntityIndex::PostingsTable::Append(std::string_view key,
+                                        std::span<const rdf::TermId> list) {
+  keys += key;
+  key_offsets.push_back(static_cast<uint32_t>(keys.size()));
+  postings.insert(postings.end(), list.begin(), list.end());
+  postings_offsets.push_back(static_cast<uint32_t>(postings.size()));
+}
+
+void EntityIndex::PostingsTable::IndexKeys() {
+  positions.Reset(size());
+  for (size_t i = 0; i < size(); ++i) {
+    // Keys are distinct, so every probe ends at an empty slot.
+    const uint64_t hash = std::hash<std::string_view>()(Key(i));
+    size_t slot = 0;
+    positions.Probe(hash, [](uint32_t) { return false; }, &slot);
+    positions.Set(slot, hash, static_cast<uint32_t>(i));
+  }
+}
+
+void EntityIndex::PostingsTable::Save(BinaryWriter* out) const {
+  out->WriteString(keys);
+  out->WritePodVector(key_offsets);
+  out->WritePodVector(postings_offsets);
+  out->WritePodVector(postings);
+}
+
+Status EntityIndex::PostingsTable::Load(BinaryReader* in, size_t num_terms,
+                                        const std::string& what) {
+  GANSWER_RETURN_NOT_OK(in->ReadString(&keys));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&key_offsets));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&postings_offsets));
+  GANSWER_RETURN_NOT_OK(in->ReadPodVector(&postings));
+  GANSWER_RETURN_NOT_OK(
+      CheckOffsets(key_offsets, keys.size(), false, what + " key offsets"));
+  if (postings_offsets.size() != key_offsets.size()) {
+    return Status::Corruption("entity index " + what +
+                              " postings offsets do not match keys");
+  }
+  GANSWER_RETURN_NOT_OK(CheckOffsets(postings_offsets, postings.size(), false,
+                                     what + " postings offsets"));
+  // Keys are distinct, and a token's id is its rank among them.
+  for (size_t i = 1; i < size(); ++i) {
+    if (Key(i - 1) >= Key(i)) {
+      return Status::Corruption("entity index " + what + " keys not sorted");
+    }
+  }
+  for (rdf::TermId v : postings) {
+    if (v >= num_terms) {
+      return Status::Corruption("entity index " + what +
+                                " posting out of range");
+    }
+  }
+  // The linker merges postings lists by vertex id.
+  for (size_t i = 0; i < size(); ++i) {
+    std::span<const rdf::TermId> list = Postings(i);
+    for (size_t j = 1; j < list.size(); ++j) {
+      if (list[j - 1] >= list[j]) {
+        return Status::Corruption("entity index " + what +
+                                  " postings not sorted");
+      }
+    }
+  }
+  IndexKeys();
+  return Status::Ok();
+}
+
 EntityIndex::EntityIndex(const rdf::RdfGraph& graph) : graph_(graph) {
   const size_t num_terms = graph.dict().size();
+  BuildMaps maps;
   std::vector<rdf::TermId> vertices;
   std::vector<uint32_t> vertex_rows;
   for (rdf::TermId v = 0; v < num_terms; ++v) {
     const size_t first_row = labels_.rows();
-    MaybeIndex(v);
+    MaybeIndex(&maps, v);
     if (labels_.rows() == first_row) continue;
     vertices.push_back(v);
     vertex_rows.push_back(static_cast<uint32_t>(first_row));
   }
   vertex_rows.push_back(static_cast<uint32_t>(labels_.rows()));
-  FinalizePostings();
 
-  // Provisional ids are first-seen order; the final id is the token's rank
-  // among the sorted keys, the order SaveBinary writes them in.
-  std::vector<uint32_t> final_ids(by_token_.size());
-  uint32_t rank = 0;
-  for (const std::string* key : SortedKeys(by_token_)) {
-    TokenEntry& entry = by_token_.find(*key)->second;
-    final_ids[entry.id] = rank;
-    entry.id = rank++;
+  for (auto* entry : SortedEntries(maps.labels)) {
+    SortUnique(&entry->second);
+    by_label_.Append(entry->first, entry->second);
   }
+  by_label_.IndexKeys();
+  // Provisional ids are first-seen order; the final id is the token's rank
+  // among the sorted keys, its position in by_token_.
+  std::vector<uint32_t> final_ids(maps.tokens.size());
+  uint32_t rank = 0;
+  for (auto* entry : SortedEntries(maps.tokens)) {
+    SortUnique(&entry->second.postings);
+    by_token_.Append(entry->first, entry->second.postings);
+    final_ids[entry->second.id] = rank++;
+  }
+  by_token_.IndexKeys();
   RenumberTokens(final_ids);
   token_id_end_ = rank;
   BuildDenseVertexTable(vertices, vertex_rows);
 }
 
-void EntityIndex::MaybeIndex(rdf::TermId v) {
+void EntityIndex::MaybeIndex(BuildMaps* maps, rdf::TermId v) {
   const rdf::TermDictionary& dict = graph_.dict();
   const size_t first_row = labels_.rows();
   if (dict.IsLiteral(v)) {
@@ -92,26 +213,29 @@ void EntityIndex::MaybeIndex(rdf::TermId v) {
     std::string_view text = dict.text(v);
     bool name_like =
         !text.empty() && std::isupper(static_cast<unsigned char>(text[0]));
-    if (name_like && graph_.InDegree(v) > 0) AddLabel(v, text, first_row);
+    if (name_like && graph_.InDegree(v) > 0) {
+      AddLabel(maps, v, text, first_row);
+    }
     return;
   }
   if (!graph_.IsEntity(v) && !graph_.IsClass(v)) return;
   // IRI-derived label, then the explicit rdfs:label literals.
-  AddLabel(v, dict.text(v), first_row);
+  AddLabel(maps, v, dict.text(v), first_row);
   for (rdf::TermId label : graph_.Objects(v, graph_.label_predicate())) {
-    AddLabel(v, dict.text(label), first_row);
+    AddLabel(maps, v, dict.text(label), first_row);
   }
 }
 
-void EntityIndex::AddLabel(rdf::TermId v, std::string_view raw_label,
-                           size_t first_row) {
+void EntityIndex::AddLabel(BuildMaps* maps, rdf::TermId v,
+                           std::string_view raw_label, size_t first_row) {
   std::string norm = NormalizeLabel(raw_label);
   if (norm.empty()) return;
   // Leading-article variant: "The Godfather" is mentioned as "Godfather"
   // once the parser strips the determiner, so index both forms.
   for (const char* article : {"the ", "a ", "an "}) {
     if (norm.rfind(article, 0) == 0 && norm.size() > strlen(article)) {
-      AddLabel(v, std::string_view(norm).substr(strlen(article)), first_row);
+      AddLabel(maps, v, std::string_view(norm).substr(strlen(article)),
+               first_row);
       break;
     }
   }
@@ -120,15 +244,15 @@ void EntityIndex::AddLabel(rdf::TermId v, std::string_view raw_label,
     if (labels_.Text(row) == norm) return;
   }
 
-  by_label_[norm].push_back(v);
+  maps->labels[norm].push_back(v);
   std::vector<std::string_view> tokens;
   SplitWhitespace(norm, &tokens);
   const size_t span_begin = labels_.token_ids.size();
   for (std::string_view token : tokens) {
-    auto it = by_token_.find(token);
-    if (it == by_token_.end()) {
-      it = by_token_.emplace(std::string(token), TokenEntry{}).first;
-      it->second.id = static_cast<uint32_t>(by_token_.size() - 1);
+    auto it = maps->tokens.find(token);
+    if (it == maps->tokens.end()) {
+      it = maps->tokens.emplace(std::string(token), BuildMaps::Token{}).first;
+      it->second.id = static_cast<uint32_t>(maps->tokens.size() - 1);
     }
     it->second.postings.push_back(v);
     labels_.token_ids.push_back(it->second.id);
@@ -141,11 +265,6 @@ void EntityIndex::AddLabel(rdf::TermId v, std::string_view raw_label,
   labels_.text_offsets.push_back(static_cast<uint32_t>(labels_.text.size()));
   labels_.token_offsets.push_back(
       static_cast<uint32_t>(labels_.token_ids.size()));
-}
-
-void EntityIndex::FinalizePostings() {
-  for (auto& [label, list] : by_label_) SortUnique(&list);
-  for (auto& [token, entry] : by_token_) SortUnique(&entry.postings);
 }
 
 void EntityIndex::RenumberTokens(const std::vector<uint32_t>& final_ids) {
@@ -187,10 +306,11 @@ std::unique_ptr<EntityIndex> EntityIndex::BuildOverlay(
   // overlay graph's merged state by the same rule the full build uses.
   // Every touched vertex gets a slot, so one that lost all its labels is
   // an empty tombstone masking the stale base entry.
+  BuildMaps maps;
   size_t own_labeled = 0;
   for (rdf::TermId v : sorted) {
     const size_t first_row = index->labels_.rows();
-    index->MaybeIndex(v);
+    index->MaybeIndex(&maps, v);
     const size_t last_row = index->labels_.rows();
     index->vertices_.push_back(v);
     index->vertex_rows_.push_back(static_cast<uint32_t>(first_row));
@@ -200,8 +320,7 @@ std::unique_ptr<EntityIndex> EntityIndex::BuildOverlay(
   }
   index->vertex_rows_.push_back(
       static_cast<uint32_t>(index->labels_.rows()));
-  index->FinalizePostings();
-  const size_t num_provisional = index->by_token_.size();
+  const size_t num_provisional = maps.tokens.size();
 
   // Affected keys: everything a touched vertex carries now (the local maps)
   // plus everything it carried in the base. Keys outside this union have
@@ -223,17 +342,14 @@ std::unique_ptr<EntityIndex> EntityIndex::BuildOverlay(
   // Every affected key gets a definitive local posting list: base carriers
   // outside the touched set plus the fresh touched carriers, sorted — which
   // is exactly the list a from-scratch rebuild would produce. An empty list
-  // stays in the map as a tombstone masking the base.
-  auto merge_affected = [&](auto* own, const auto& base_map,
+  // stays in the table as a tombstone masking the base.
+  auto merge_affected = [&](auto* own, auto base_postings,
                             std::unordered_set<std::string>* affected) {
     for (const auto& [key, value] : *own) affected->insert(key);
     for (const std::string& key : *affected) {
       std::vector<rdf::TermId> merged;
-      auto base_it = base_map.find(key);
-      if (base_it != base_map.end()) {
-        for (rdf::TermId v : PostingsOf(base_it->second)) {
-          if (touched_set.find(v) == touched_set.end()) merged.push_back(v);
-        }
+      for (rdf::TermId v : base_postings(key)) {
+        if (touched_set.find(v) == touched_set.end()) merged.push_back(v);
       }
       std::vector<rdf::TermId>& postings =
           PostingsOf(own->try_emplace(key).first->second);
@@ -242,22 +358,38 @@ std::unique_ptr<EntityIndex> EntityIndex::BuildOverlay(
       postings = std::move(merged);
     }
   };
-  merge_affected(&index->by_label_, base->by_label_, &affected_labels);
-  merge_affected(&index->by_token_, base->by_token_, &affected_tokens);
+  merge_affected(
+      &maps.labels,
+      [&](std::string_view key) { return base->LabelPostings(key); },
+      &affected_labels);
+  merge_affected(
+      &maps.tokens,
+      [&](std::string_view key) {
+        std::optional<TokenEntry> entry = base->FindToken(key);
+        return entry ? entry->postings : std::span<const rdf::TermId>();
+      },
+      &affected_tokens);
 
-  // Token ids: a token the base knows keeps the base's id; the others are
-  // numbered from the base's TokenIdEnd() in sorted key order. Keys the
-  // merge added come from base labels, so the base knows them, and they
-  // have no provisional id to rewrite.
+  // Frozen in sorted key order. Token ids: a token the base knows keeps the
+  // base's id; the others are numbered from the base's TokenIdEnd() in
+  // sorted key order. Keys the merge added come from base labels, so the
+  // base knows them, and they have no provisional id to rewrite.
+  for (auto* entry : SortedEntries(maps.labels)) {
+    index->by_label_.Append(entry->first, entry->second);
+  }
+  index->by_label_.IndexKeys();
   std::vector<uint32_t> final_ids(num_provisional);
   uint32_t next_id = base->TokenIdEnd();
-  for (const std::string* key : SortedKeys(index->by_token_)) {
-    TokenEntry& entry = index->by_token_.find(*key)->second;
-    const TokenEntry* known = base->FindToken(*key);
-    const uint32_t id = known != nullptr ? known->id : next_id++;
-    if (entry.id != TokenEntry::kNoId) final_ids[entry.id] = id;
-    entry.id = id;
+  for (auto* entry : SortedEntries(maps.tokens)) {
+    std::optional<TokenEntry> known = base->FindToken(entry->first);
+    const uint32_t id = known ? known->id : next_id++;
+    if (entry->second.id != BuildMaps::Token::kNoId) {
+      final_ids[entry->second.id] = id;
+    }
+    index->by_token_.Append(entry->first, entry->second.postings);
+    index->token_ids_.push_back(id);
   }
+  index->by_token_.IndexKeys();
   index->RenumberTokens(final_ids);
   index->token_id_end_ = next_id;
 
@@ -268,16 +400,8 @@ std::unique_ptr<EntityIndex> EntityIndex::BuildOverlay(
 }
 
 void EntityIndex::SaveBinary(BinaryWriter* out) const {
-  // Both postings maps are written in sorted key order.
-  auto write_postings = [&](const auto& m) {
-    out->WriteVarint(m.size());
-    for (const std::string* key : SortedKeys(m)) {
-      out->WriteString(*key);
-      out->WritePodVector(PostingsOf(m.find(*key)->second));
-    }
-  };
-  write_postings(by_label_);
-  write_postings(by_token_);
+  by_label_.Save(out);
+  by_token_.Save(out);
 
   // The label table, with the dense vertex slots written sparsely: the
   // vertices that have labels and the first row of each.
@@ -304,41 +428,9 @@ StatusOr<std::unique_ptr<EntityIndex>> EntityIndex::LoadBinary(
   auto index =
       std::unique_ptr<EntityIndex>(new EntityIndex(graph, LoadTag{}));
   const size_t num_terms = graph.dict().size();
-  auto read_postings = [&](auto* m, auto&& on_key) -> Status {
-    uint64_t count = 0;
-    GANSWER_RETURN_NOT_OK(in->ReadCount(&count));
-    m->reserve(count);
-    std::string_view previous;
-    for (uint64_t i = 0; i < count; ++i) {
-      std::string key;
-      std::vector<rdf::TermId> list;
-      GANSWER_RETURN_NOT_OK(in->ReadString(&key));
-      // The writer sorts the keys, and a token's id is its rank there.
-      if (i > 0 && key <= previous) {
-        return Status::Corruption("entity index keys not sorted");
-      }
-      GANSWER_RETURN_NOT_OK(in->ReadPodVector(&list));
-      for (size_t j = 0; j < list.size(); ++j) {
-        if (list[j] >= num_terms) {
-          return Status::Corruption("entity index posting out of range");
-        }
-        // The linker merges postings lists by vertex id.
-        if (j > 0 && list[j - 1] >= list[j]) {
-          return Status::Corruption("entity index postings not sorted");
-        }
-      }
-      auto it = m->try_emplace(std::move(key)).first;
-      previous = it->first;
-      PostingsOf(it->second) = std::move(list);
-      on_key(it->second, static_cast<uint32_t>(i));
-    }
-    return Status::Ok();
-  };
-  GANSWER_RETURN_NOT_OK(
-      read_postings(&index->by_label_, [](auto&, uint32_t) {}));
+  GANSWER_RETURN_NOT_OK(index->by_label_.Load(in, num_terms, "label"));
+  GANSWER_RETURN_NOT_OK(index->by_token_.Load(in, num_terms, "token"));
   // A token's id is its position in the key order.
-  GANSWER_RETURN_NOT_OK(read_postings(
-      &index->by_token_, [](TokenEntry& entry, uint32_t i) { entry.id = i; }));
   const size_t vocabulary = index->by_token_.size();
   index->token_id_end_ = static_cast<uint32_t>(vocabulary);
 
@@ -352,31 +444,16 @@ StatusOr<std::unique_ptr<EntityIndex>> EntityIndex::LoadBinary(
   GANSWER_RETURN_NOT_OK(in->ReadPodVector(&labels.token_offsets));
   GANSWER_RETURN_NOT_OK(in->ReadPodVector(&labels.token_ids));
 
-  // One validation pass: every offset array starts at 0, is monotone and
-  // ends at the size of what it indexes, so no view reads out of bounds.
-  auto check_offsets = [](const std::vector<uint32_t>& offsets, size_t end,
-                          bool strict, const char* what) -> Status {
-    if (offsets.empty() || offsets.front() != 0 || offsets.back() != end) {
-      return Status::Corruption(std::string("entity index ") + what +
-                                " do not span their array");
-    }
-    for (size_t i = 1; i < offsets.size(); ++i) {
-      if (strict ? offsets[i - 1] >= offsets[i] : offsets[i - 1] > offsets[i]) {
-        return Status::Corruption(std::string("entity index ") + what +
-                                  " not ascending");
-      }
-    }
-    return Status::Ok();
-  };
-  GANSWER_RETURN_NOT_OK(check_offsets(labels.text_offsets, labels.text.size(),
-                                      false, "label text offsets"));
+  // One validation pass before any view is handed out.
+  GANSWER_RETURN_NOT_OK(CheckOffsets(labels.text_offsets, labels.text.size(),
+                                     false, "label text offsets"));
   const size_t rows = labels.rows();
   if (labels.token_offsets.size() != rows + 1) {
     return Status::Corruption("entity index token offsets do not match labels");
   }
-  GANSWER_RETURN_NOT_OK(check_offsets(labels.token_offsets,
-                                      labels.token_ids.size(), true,
-                                      "token offsets"));
+  GANSWER_RETURN_NOT_OK(CheckOffsets(labels.token_offsets,
+                                     labels.token_ids.size(), true,
+                                     "token offsets"));
   for (size_t row = 0; row < rows; ++row) {
     std::span<const uint32_t> span = labels.Tokens(row);
     for (size_t j = 0; j < span.size(); ++j) {
@@ -393,7 +470,7 @@ StatusOr<std::unique_ptr<EntityIndex>> EntityIndex::LoadBinary(
     return Status::Corruption("entity index vertex rows do not match vertices");
   }
   GANSWER_RETURN_NOT_OK(
-      check_offsets(vertex_rows, rows, true, "vertex label ranges"));
+      CheckOffsets(vertex_rows, rows, true, "vertex label ranges"));
   for (size_t i = 0; i < vertices.size(); ++i) {
     if (vertices[i] >= num_terms) {
       return Status::Corruption("entity index vertex out of range");
@@ -406,29 +483,36 @@ StatusOr<std::unique_ptr<EntityIndex>> EntityIndex::LoadBinary(
   return index;
 }
 
-const std::vector<rdf::TermId>& EntityIndex::ExactMatches(
+std::span<const rdf::TermId> EntityIndex::LabelPostings(
+    std::string_view norm) const {
+  for (const EntityIndex* idx = this; idx != nullptr; idx = idx->base_.get()) {
+    const size_t i = idx->by_label_.Find(norm);
+    if (i != idx->by_label_.size()) return idx->by_label_.Postings(i);
+  }
+  return {};
+}
+
+std::span<const rdf::TermId> EntityIndex::ExactMatches(
     std::string_view text) const {
-  std::string norm = NormalizeLabel(text);
-  for (const EntityIndex* idx = this; idx != nullptr; idx = idx->base_.get()) {
-    auto it = idx->by_label_.find(norm);
-    if (it != idx->by_label_.end()) return it->second;
-  }
-  return empty_;
+  return LabelPostings(NormalizeLabel(text));
 }
 
-const std::vector<rdf::TermId>& EntityIndex::TokenMatches(
+std::span<const rdf::TermId> EntityIndex::TokenMatches(
     std::string_view token) const {
-  const TokenEntry* entry = FindToken(ToLower(token));
-  return entry != nullptr ? entry->postings : empty_;
+  std::optional<TokenEntry> entry = FindToken(ToLower(token));
+  return entry ? entry->postings : std::span<const rdf::TermId>();
 }
 
-const EntityIndex::TokenEntry* EntityIndex::FindToken(
+std::optional<EntityIndex::TokenEntry> EntityIndex::FindToken(
     std::string_view token) const {
   for (const EntityIndex* idx = this; idx != nullptr; idx = idx->base_.get()) {
-    auto it = idx->by_token_.find(token);
-    if (it != idx->by_token_.end()) return &it->second;
+    const size_t i = idx->by_token_.Find(token);
+    if (i == idx->by_token_.size()) continue;
+    const uint32_t id = idx->base_ == nullptr ? static_cast<uint32_t>(i)
+                                              : idx->token_ids_[i];
+    return TokenEntry{id, idx->by_token_.Postings(i)};
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 const EntityIndex* EntityIndex::FindVertex(rdf::TermId v, size_t* slot) const {

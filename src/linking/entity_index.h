@@ -5,12 +5,13 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/id_table.h"
 #include "common/status.h"
 #include "rdf/rdf_graph.h"
 
@@ -25,20 +26,24 @@ namespace linking {
 /// hits <Philadelphia>, <Philadelphia_(film)> and <Philadelphia_76ers>,
 /// which is precisely the ambiguity the paper's pipeline must cope with.
 ///
-/// Two maps are kept: full normalized label -> vertices (exact lookups)
-/// and single token -> (token id, vertices) (partial-match candidate
-/// generation). Tokens are interned: a token's id is its rank among the
-/// sorted token keys. The labels themselves live in one flat table: their
-/// text in a char blob, and per label its sorted, distinct token ids, so
-/// the linker compares labels with a query by intersecting sorted u32
-/// spans and never splits or hashes a label.
+/// Two sorted key tables are kept: full normalized label -> vertices
+/// (exact lookups) and single token -> vertices (partial-match candidate
+/// generation), each a key blob with u32 offsets and one u32 postings
+/// array, found through a hash table of key positions. Tokens are
+/// interned: a token's id is its rank among the sorted token keys, so one
+/// lookup yields both. The
+/// labels themselves live in one flat table: their text in a char blob, and
+/// per label its sorted, distinct token ids, so the linker compares labels
+/// with a query by intersecting sorted u32 spans and never splits or hashes
+/// a label. Every array is stored as the snapshot holds it, so a load is
+/// bulk reads plus one validation pass; only the two hash tables of key
+/// positions are filled at load, one pass and one allocation each.
 class EntityIndex {
  public:
   /// A token's interned id and its postings (ascending vertex ids).
   struct TokenEntry {
-    static constexpr uint32_t kNoId = UINT32_MAX;
-    uint32_t id = kNoId;
-    std::vector<rdf::TermId> postings;
+    uint32_t id = 0;
+    std::span<const rdf::TermId> postings;
   };
 
   /// The flat label table: row r is one label, with its text and its token
@@ -137,15 +142,18 @@ class EntityIndex {
       const rdf::RdfGraph& graph, std::shared_ptr<const EntityIndex> base,
       const std::vector<rdf::TermId>& touched);
 
-  /// Vertices whose normalized label equals the normalization of \p text.
-  const std::vector<rdf::TermId>& ExactMatches(std::string_view text) const;
+  /// Vertices whose normalized label equals the normalization of \p text,
+  /// ascending.
+  std::span<const rdf::TermId> ExactMatches(std::string_view text) const;
 
-  /// Vertices one of whose label tokens equals the (lowercased) token.
-  const std::vector<rdf::TermId>& TokenMatches(std::string_view token) const;
+  /// Vertices one of whose label tokens equals the (lowercased) token,
+  /// ascending.
+  std::span<const rdf::TermId> TokenMatches(std::string_view token) const;
 
   /// The id and postings of \p token, which must already be lowercase (a
-  /// token of a normalized label); null when no label ever had it.
-  const TokenEntry* FindToken(std::string_view token) const;
+  /// token of a normalized label), from one hash probe; nullopt when no
+  /// label ever had it.
+  std::optional<TokenEntry> FindToken(std::string_view token) const;
 
   /// All normalized labels of vertex \p v (IRI-derived first).
   LabelList LabelsOf(rdf::TermId v) const;
@@ -167,14 +175,15 @@ class EntityIndex {
   const rdf::RdfGraph& graph() const { return graph_; }
   size_t NumIndexedVertices() const { return num_indexed_; }
 
-  /// Snapshot serialization of a full (non-overlay) index, with
-  /// deterministic key order so identical indexes produce identical bytes:
-  /// the label and token postings in sorted key order (a token's id is its
-  /// position there), then the flat label table.
+  /// Snapshot serialization of a full (non-overlay) index: the label and
+  /// token key tables exactly as held (sorted keys, so identical indexes
+  /// produce identical bytes, and a token's id is its position), then the
+  /// flat label table.
   void SaveBinary(BinaryWriter* out) const;
   /// Restores an index over \p graph (the same graph the saved index was
-  /// built from). Postings and token spans are restored verbatim with bulk
-  /// reads and one validation pass; no label is split or hashed.
+  /// built from). Every array is restored verbatim with one bulk read and
+  /// checked in one validation pass; no key gets its own allocation and no
+  /// label is split.
   static StatusOr<std::unique_ptr<EntityIndex>> LoadBinary(
       const rdf::RdfGraph& graph, BinaryReader* in);
 
@@ -182,18 +191,59 @@ class EntityIndex {
   struct LoadTag {};
   EntityIndex(const rdf::RdfGraph& graph, LoadTag) : graph_(graph) {}
 
+  /// Sorted keys, each with a postings list (ascending vertex ids): the key
+  /// texts concatenated in one blob, and the lists in one array. Key i is
+  /// keys[key_offsets[i], key_offsets[i + 1]) and its list is
+  /// postings[postings_offsets[i], postings_offsets[i + 1]). Offsets are
+  /// u32, like the label table's. Keys are found through `positions`, a
+  /// hash table of key positions filled once the keys are final (it is not
+  /// serialized): a binary search over tens of thousands of labels costs
+  /// a cache miss per step on a cold request.
+  struct PostingsTable {
+    std::string keys;
+    std::vector<uint32_t> key_offsets{0};       // size() + 1, into keys
+    std::vector<uint32_t> postings_offsets{0};  // size() + 1, into postings
+    std::vector<rdf::TermId> postings;
+    IdTable positions;
+
+    size_t size() const { return key_offsets.size() - 1; }
+    std::string_view Key(size_t i) const {
+      return std::string_view(keys).substr(key_offsets[i],
+                                           key_offsets[i + 1] - key_offsets[i]);
+    }
+    std::span<const rdf::TermId> Postings(size_t i) const {
+      return std::span<const rdf::TermId>(postings).subspan(
+          postings_offsets[i], postings_offsets[i + 1] - postings_offsets[i]);
+    }
+    /// Position of \p key, or size() when absent.
+    size_t Find(std::string_view key) const;
+    /// Appends a key greater than every key so far; call IndexKeys() after
+    /// the last one.
+    void Append(std::string_view key, std::span<const rdf::TermId> list);
+    /// Fills `positions` with every key, in one pass.
+    void IndexKeys();
+    void Save(BinaryWriter* out) const;
+    /// Bulk-reads the four arrays, validates them (offsets span their
+    /// arrays, keys strictly ascend, and each list strictly ascends below
+    /// \p num_terms) and indexes the keys. \p what names the table in
+    /// errors.
+    Status Load(BinaryReader* in, size_t num_terms, const std::string& what);
+  };
+
+  /// The build's key -> postings maps, frozen into PostingsTables when the
+  /// build ends.
+  struct BuildMaps;
+
   /// The per-vertex indexing rule shared by the full build and the overlay
   /// build: name-like in-referenced literals and entity/class vertices get
-  /// their labels added, everything else is skipped. Rows are appended to
-  /// labels_, and their token ids are provisional (first-seen order) until
-  /// the build renumbers them.
-  void MaybeIndex(rdf::TermId v);
-  void AddLabel(rdf::TermId v, std::string_view raw_label, size_t first_row);
-  /// Construction appends postings without duplicate checks (the scans were
-  /// quadratic on hub tokens); this one pass sort+uniques every postings
-  /// list. Insertion happens in ascending vertex order, so the sorted lists
-  /// equal the old first-occurrence order exactly.
-  void FinalizePostings();
+  /// their labels added to \p maps, everything else is skipped. Rows are
+  /// appended to labels_, and their token ids are provisional (first-seen
+  /// order) until the build renumbers them.
+  void MaybeIndex(BuildMaps* maps, rdf::TermId v);
+  void AddLabel(BuildMaps* maps, rdf::TermId v, std::string_view raw_label,
+                size_t first_row);
+  /// The postings of normalized label \p norm here or in the base chain.
+  std::span<const rdf::TermId> LabelPostings(std::string_view norm) const;
   /// Rewrites the provisional ids in labels_ through \p final_ids and
   /// re-sorts each row's span.
   void RenumberTokens(const std::vector<uint32_t>& final_ids);
@@ -206,19 +256,12 @@ class EntityIndex {
   const EntityIndex* FindVertex(rdf::TermId v, size_t* slot) const;
   uint32_t OverlayMinLabelTokens(rdf::TermId v) const;
 
-  struct StringHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>()(s);
-    }
-  };
-  template <typename V>
-  using StringMap = std::unordered_map<std::string, V, StringHash,
-                                       std::equal_to<>>;
-
   const rdf::RdfGraph& graph_;
-  StringMap<std::vector<rdf::TermId>> by_label_;
-  StringMap<TokenEntry> by_token_;
+  PostingsTable by_label_;
+  PostingsTable by_token_;
+  // Overlay only: the id of each by_token_ key. A full index needs none,
+  // since there a token's id is its position.
+  std::vector<uint32_t> token_ids_;
   LabelTable labels_;
   // Vertex -> rows of labels_. A full index is dense: slot = vertex id,
   // vertex_rows_ has one entry per term plus one, and vertices_ is empty.
@@ -231,10 +274,9 @@ class EntityIndex {
   std::vector<uint8_t> min_label_tokens_;
   uint32_t token_id_end_ = 0;
   size_t num_indexed_ = 0;
-  std::vector<rdf::TermId> empty_;
-  // Overlay mode: lookups probe this index's maps first (affected keys are
-  // always present locally, possibly as empty tombstones) and fall through
-  // to the shared immutable base. Null for a full index.
+  // Overlay mode: lookups probe this index's tables first (affected keys
+  // are always present locally, possibly as empty tombstones) and fall
+  // through to the shared immutable base. Null for a full index.
   std::shared_ptr<const EntityIndex> base_;
 };
 

@@ -228,8 +228,8 @@ std::vector<LinkCandidate> EntityLinker::Link(std::string_view phrase) const {
   std::vector<Postings> lists;
   size_t longest = 0;
   for (std::string_view token : query) {
-    const EntityIndex::TokenEntry* entry = index_->FindToken(token);
-    if (entry == nullptr) continue;
+    std::optional<EntityIndex::TokenEntry> entry = index_->FindToken(token);
+    if (!entry) continue;
     query_ids.push_back(entry->id);
     if (entry->postings.empty()) continue;
     lists.emplace_back(entry->postings);

@@ -1,5 +1,7 @@
 #include "rdf/term_dictionary.h"
 
+#include <functional>
+
 #include "common/binary_io.h"
 
 namespace ganswer {
@@ -7,15 +9,24 @@ namespace rdf {
 
 namespace {
 
-// Index key: literals get a prefix byte that cannot begin an IRI text used
-// by this codebase, separating the two term spaces in one map.
-std::string IndexKey(std::string_view text, TermKind kind) {
-  std::string key;
-  key.reserve(text.size() + 1);
-  key += kind == TermKind::kLiteral ? '\x01' : '\x02';
-  key += text;
-  return key;
+// Hash of a term: the text's hash, with the literal space flipped by a
+// constant so the IRI <country> and the literal "country" probe from
+// different slots of the one table.
+uint64_t TermHash(std::string_view text, TermKind kind) {
+  uint64_t h = std::hash<std::string_view>()(text);
+  return kind == TermKind::kLiteral ? h ^ 0x9e3779b97f4a7c15ull : h;
 }
+
+// The table's probe predicate: the term of \p dict equal to (\p text,
+// \p kind).
+auto SameTerm(const TermDictionary& dict, std::string_view text,
+              TermKind kind) {
+  return [&dict, text, kind](TermId id) {
+    return dict.kind(id) == kind && dict.text(id) == text;
+  };
+}
+
+static_assert(IdTable::kEmpty == kInvalidTerm);
 
 }  // namespace
 
@@ -24,35 +35,57 @@ void TermDictionary::InitExtension(const TermDictionary* base) {
   base_size_ = base->size();
 }
 
-TermId TermDictionary::Intern(std::string_view text, TermKind kind) {
-  std::string key = IndexKey(text, kind);
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
-  if (base_ != nullptr) {
-    auto base_it = base_->index_.find(key);
-    if (base_it != base_->index_.end()) return base_it->second;
+TermId TermDictionary::Probe(std::string_view text, TermKind kind,
+                             uint64_t hash, size_t* slot) const {
+  return table_.Probe(hash, SameTerm(*this, text, kind), slot);
+}
+
+TermId TermDictionary::Find(std::string_view text, TermKind kind,
+                            uint64_t hash) const {
+  const TermId id = table_.Find(hash, SameTerm(*this, text, kind));
+  if (id != kInvalidTerm) return id;
+  return base_ != nullptr ? base_->Find(text, kind, hash) : kInvalidTerm;
+}
+
+void TermDictionary::Rehash(size_t n) {
+  table_.Reset(n);
+  for (size_t local = 0; local < kinds_.size(); ++local) {
+    const TermId id = static_cast<TermId>(base_size_ + local);
+    const uint64_t hash = TermHash(text(id), kind(id));
+    size_t slot = 0;
+    Probe(text(id), kind(id), hash, &slot);
+    table_.Set(slot, hash, id);
   }
-  TermId id = static_cast<TermId>(size());
-  // Append from the key (which embeds a copy of the text) rather than from
-  // the caller's view: the view may alias this very arena, which is about to
-  // reallocate.
-  arena_.insert(arena_.end(), key.begin() + 1, key.end());
+}
+
+TermId TermDictionary::Intern(std::string_view text, TermKind kind) {
+  const uint64_t hash = TermHash(text, kind);
+  const TermId known = Find(text, kind, hash);
+  if (known != kInvalidTerm) return known;
+  if (!table_.Fits(kinds_.size() + 1)) Rehash(kinds_.size() + 1);
+  size_t slot = 0;
+  Probe(text, kind, hash, &slot);
+  const TermId id = static_cast<TermId>(size());
+  // The caller's view may alias this very arena, which is about to
+  // reallocate: copy such a text out first.
+  std::string copy;
+  std::less_equal<const char*> before;
+  if (!text.empty() && before(arena_.data(), text.data()) &&
+      before(text.data() + text.size(), arena_.data() + arena_.size())) {
+    text = copy.assign(text);
+  }
+  arena_.insert(arena_.end(), text.begin(), text.end());
   offsets_.push_back(arena_.size());
   kinds_.push_back(static_cast<uint8_t>(kind));
-  index_.emplace(std::move(key), id);
+  table_.Set(slot, hash, id);
   return id;
 }
 
 std::optional<TermId> TermDictionary::Lookup(std::string_view text,
                                              TermKind kind) const {
-  std::string key = IndexKey(text, kind);
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
-  if (base_ != nullptr) {
-    auto base_it = base_->index_.find(key);
-    if (base_it != base_->index_.end()) return base_it->second;
-  }
-  return std::nullopt;
+  const TermId id = Find(text, kind, TermHash(text, kind));
+  if (id == kInvalidTerm) return std::nullopt;
+  return id;
 }
 
 void TermDictionary::SaveBinary(BinaryWriter* out) const {
@@ -88,16 +121,17 @@ Status TermDictionary::RebuildIndex() {
       return Status::Corruption("term dictionary bad term kind");
     }
   }
-  index_.clear();
-  index_.reserve(n);
+  table_.Reset(n);
   for (size_t i = 0; i < n; ++i) {
-    std::string_view t = text(static_cast<TermId>(i));
-    auto [it, inserted] = index_.emplace(
-        IndexKey(t, static_cast<TermKind>(kinds_[i])), static_cast<TermId>(i));
-    if (!inserted) {
+    const TermId id = static_cast<TermId>(i);
+    const std::string_view t = text(id);
+    const uint64_t hash = TermHash(t, kind(id));
+    size_t slot = 0;
+    if (Probe(t, kind(id), hash, &slot) != kInvalidTerm) {
       return Status::Corruption("term dictionary duplicate term '" +
                                 std::string(t) + "'");
     }
+    table_.Set(slot, hash, id);
   }
   return Status::Ok();
 }

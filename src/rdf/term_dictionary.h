@@ -5,9 +5,9 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/id_table.h"
 #include "common/status.h"
 
 namespace ganswer {
@@ -35,6 +35,11 @@ enum class TermKind : uint8_t { kIri = 0, kLiteral = 1 };
 /// in the style of every disk-based RDF store (RDF-3X, gStore, Virtuoso).
 ///
 /// Term texts live in one contiguous arena addressed by an offset column.
+/// The lookup index is one open-addressing table of TermIds (IdTable),
+/// probed by a hash of (kind, text) and compared against text(id) in the
+/// arena: it stores no keys (views into the arena would dangle when it
+/// grows), so a lookup allocates nothing and a load fills it in one
+/// reserving pass.
 ///
 /// EXTENSION MODE (the live-update delta layer): InitExtension(base) turns a
 /// freshly constructed dictionary into an overlay over an immutable \p base.
@@ -103,16 +108,27 @@ class TermDictionary {
   /// + the kind array, so the matching load is three bulk reads.
   void SaveBinary(BinaryWriter* out) const;
   /// Replaces the contents with a previously saved dictionary. Term ids are
-  /// preserved exactly; the lookup index is rebuilt in one reserving pass.
+  /// preserved exactly; the lookup table is filled in one reserving pass,
+  /// and a term saved twice is Status::Corruption.
   Status LoadBinary(BinaryReader* in);
 
  private:
   Status RebuildIndex();
+  /// The local term equal to (\p text, \p kind), whose hash is \p hash,
+  /// or kInvalidTerm with *slot at the empty slot where it would go.
+  TermId Probe(std::string_view text, TermKind kind, uint64_t hash,
+               size_t* slot) const;
+  /// Id of (\p text, \p kind) here or, for an extension, in the base;
+  /// kInvalidTerm when neither knows it.
+  TermId Find(std::string_view text, TermKind kind, uint64_t hash) const;
+  /// Resets the table for \p n terms and re-inserts every local term.
+  void Rehash(size_t n);
 
   std::vector<char> arena_;
   std::vector<uint64_t> offsets_;  // local count + 1 entries; offsets_[0] == 0
   std::vector<uint8_t> kinds_;
-  std::unordered_map<std::string, TermId> index_;  // key -> GLOBAL id
+  // GLOBAL ids of the local terms (IdTable::kEmpty is kInvalidTerm).
+  IdTable table_;
   // Extension mode (see class comment). The base stays un-Interned and is
   // kept alive by the caller; base_size_ caches base_->size() so the hot
   // text()/kind() branch never chases the pointer for flat dictionaries.

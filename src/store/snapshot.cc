@@ -33,7 +33,7 @@ constexpr uint32_t kByteOrderMark = 0x01020304u;
 enum SectionId : uint32_t {
   kGraphSection = 1,        // term dictionary + CSR adjacency + class bitmap
   kSignatureSection = 2,    // per-vertex signature arrays
-  kEntityIndexSection = 3,  // label/token postings + flat label table
+  kEntityIndexSection = 3,  // label/token key tables + flat label table
   kDictionarySection = 4,   // paraphrase phrase records + inverted index
   kStatsSection = 5,        // planner cardinality statistics
 };

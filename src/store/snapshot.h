@@ -23,11 +23,14 @@ namespace store {
 /// 8-aligned section payloads and alignment-padded pod arrays (no reader
 /// needs the alignment; it is part of the bytes). Version 4 stores the
 /// entity index's labels as a flat table with each label's interned token
-/// ids (linking/entity_index.h). Version 4 is the only format this binary
-/// writes or reads: older containers and versions newer than this
-/// binary's are rejected with a "rebuild the snapshot" status.
-inline constexpr uint32_t kSnapshotVersion = 4;
-inline constexpr uint32_t kMinSupportedSnapshotVersion = 4;
+/// ids (linking/entity_index.h). Version 5 stores the entity index's label
+/// and token postings as sorted key tables (a key blob, u32 key and
+/// postings offsets, one postings array), loaded with bulk reads and no
+/// rebuild. Version 5 is the only format this binary writes or reads:
+/// older containers and versions newer than this binary's are rejected
+/// with a "rebuild the snapshot" status.
+inline constexpr uint32_t kSnapshotVersion = 5;
+inline constexpr uint32_t kMinSupportedSnapshotVersion = 5;
 
 /// The section table's encoding field. Raw sections are the pod layouts the
 /// in-memory structures use, copied in with bulk reads. Raw is the only

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,66 @@ TEST(Crc32Test, ChainingMatchesOneShot) {
   uint32_t chained = Crc32(data.data(), 10);
   chained = Crc32(data.data() + 10, data.size() - 10, chained);
   EXPECT_EQ(chained, one_shot);
+}
+
+// The plain bytewise table CRC, one lookup per byte: the reference the
+// slicing-by-8 Crc32 must equal on every length, alignment and seed.
+uint32_t ReferenceCrc32(const void* data, size_t n, uint32_t seed = 0) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = seed ^ 0xffffffffu;
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
+  return c ^ 0xffffffffu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng());
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-67 cover the word loop, the byte tail and both together;
+  // start offsets 0-7 cover every alignment of the 8-byte loads.
+  const std::vector<uint8_t> bytes = RandomBytes(8 + 67, 7);
+  for (uint32_t seed : {0u, 0xdeadbeefu}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t n = 0; n <= 67; ++n) {
+        ASSERT_EQ(Crc32(bytes.data() + offset, n, seed),
+                  ReferenceCrc32(bytes.data() + offset, n, seed))
+            << "seed " << seed << " offset " << offset << " length " << n;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnOneMegabyte) {
+  const std::vector<uint8_t> bytes = RandomBytes(1 << 20, 11);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
+            ReferenceCrc32(bytes.data(), bytes.size()));
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size(), 0x12345678u),
+            ReferenceCrc32(bytes.data(), bytes.size(), 0x12345678u));
+}
+
+TEST(Crc32Test, ChainingMatchesOneShotAtEverySplit) {
+  const std::vector<uint8_t> bytes = RandomBytes(67, 13);
+  const uint32_t one_shot = Crc32(bytes.data(), bytes.size());
+  EXPECT_EQ(one_shot, ReferenceCrc32(bytes.data(), bytes.size()));
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    const uint32_t head = Crc32(bytes.data(), split);
+    EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head),
+              one_shot)
+        << "split at " << split;
+  }
 }
 
 TEST(BinaryIoTest, PrimitivesRoundTrip) {

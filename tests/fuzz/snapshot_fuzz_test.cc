@@ -27,7 +27,7 @@ namespace {
 
 struct SnapshotFixture {
   nlp::Lexicon lexicon;
-  std::string bytes;  // v4, the writer's only output
+  std::string bytes;  // v5, the writer's only output
 };
 
 const SnapshotFixture& Fixture() {

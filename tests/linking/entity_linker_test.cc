@@ -146,12 +146,42 @@ TEST(EntityIndexTest, ClassLabelsAreIndexed) {
   EXPECT_TRUE(world.kb.graph.IsClass(matches[0]));
 }
 
-// A hand-built entity-index payload over two vertices that share the one
-// label "shared": no exact-label postings, one token, and the flat label
-// table. Each test edits one array and loads it.
-struct IndexPayload {
-  std::vector<std::string> tokens{"shared"};  // each with `postings`
+// One sorted key table of the entity index section: the key blob, key
+// offsets, postings offsets and one postings array.
+struct KeyTable {
+  std::string keys;
+  std::vector<uint32_t> key_offsets{0};
+  std::vector<uint32_t> postings_offsets{0};
   std::vector<rdf::TermId> postings;
+
+  /// The keys \p names in the given order, each posted by \p list.
+  static KeyTable Of(const std::vector<std::string>& names,
+                     const std::vector<rdf::TermId>& list) {
+    KeyTable table;
+    for (const std::string& name : names) {
+      table.keys += name;
+      table.key_offsets.push_back(static_cast<uint32_t>(table.keys.size()));
+      table.postings.insert(table.postings.end(), list.begin(), list.end());
+      table.postings_offsets.push_back(
+          static_cast<uint32_t>(table.postings.size()));
+    }
+    return table;
+  }
+  void Write(BinaryWriter* out) const {
+    out->WriteString(keys);
+    out->WritePodVector(key_offsets);
+    out->WritePodVector(postings_offsets);
+    out->WritePodVector(postings);
+  }
+};
+
+// A hand-built entity-index payload over two vertices that share the one
+// label "shared": the label and token key tables, each with the one key
+// "shared" posted by both vertices, and the flat label table. Each test
+// edits one array and loads it.
+struct IndexPayload {
+  KeyTable labels;
+  KeyTable tokens;
   std::vector<rdf::TermId> vertices;
   std::vector<uint32_t> vertex_rows{0, 1, 2};
   std::string text = "sharedshared";
@@ -168,18 +198,15 @@ class IndexLoader {
     EXPECT_TRUE(graph_.Finalize().ok());
     low_ = std::min(*graph_.Find("Alpha"), *graph_.Find("Beta"));
     high_ = std::max(*graph_.Find("Alpha"), *graph_.Find("Beta"));
-    valid_.postings = {low_, high_};
+    valid_.labels = KeyTable::Of({"shared"}, {low_, high_});
+    valid_.tokens = KeyTable::Of({"shared"}, {low_, high_});
     valid_.vertices = {low_, high_};
   }
 
   Status Load(const IndexPayload& p) {
     BinaryWriter out;
-    out.WriteVarint(0);  // no exact labels
-    out.WriteVarint(p.tokens.size());
-    for (const std::string& token : p.tokens) {
-      out.WriteString(token);
-      out.WritePodVector(p.postings);
-    }
+    p.labels.Write(&out);
+    p.tokens.Write(&out);
     out.WritePodVector(p.vertices);
     out.WritePodVector(p.vertex_rows);
     out.WriteString(p.text);
@@ -213,14 +240,21 @@ class IndexLoader {
 
 TEST(EntityIndexTest, LoadRejectsUnsortedPostings) {
   // The linker merges postings by vertex id, so a loaded list must be
-  // strictly ascending.
+  // strictly ascending, in the token table and the label table alike.
   IndexLoader loader;
   EXPECT_TRUE(loader.Load(loader.valid()).ok())
       << loader.Load(loader.valid()).ToString();
   IndexPayload p = loader.valid();
-  p.postings = {loader.high(), loader.low()};
+  p.tokens.postings = {loader.high(), loader.low()};
   EXPECT_EQ(loader.Load(p).code(), Status::Code::kCorruption);
-  p.postings = {loader.low(), loader.low()};
+  p.tokens.postings = {loader.low(), loader.low()};
+  EXPECT_EQ(loader.Load(p).code(), Status::Code::kCorruption);
+  p = loader.valid();
+  p.labels.postings = {loader.high(), loader.low()};
+  EXPECT_EQ(loader.Load(p).code(), Status::Code::kCorruption);
+  // Postings name vertices of the graph.
+  p = loader.valid();
+  p.tokens.postings = {loader.low(), 1u << 30};
   EXPECT_EQ(loader.Load(p).code(), Status::Code::kCorruption);
 }
 
@@ -231,16 +265,15 @@ TEST(EntityIndexTest, LoadRejectsMalformedLabelTable) {
   IndexLoader loader;
   // Token keys: strictly ascending, since a token's id is its rank.
   IndexPayload two_tokens = loader.valid();
-  two_tokens.tokens = {"alpha", "shared"};
+  two_tokens.tokens =
+      KeyTable::Of({"alpha", "shared"}, {loader.low(), loader.high()});
   EXPECT_TRUE(loader.Load(two_tokens).ok());
-  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) {
-              p->tokens = {"shared", "alpha"};
-            }),
-            kCorruption);
-  EXPECT_EQ(loader.LoadWith([](IndexPayload* p) {
-              p->tokens = {"shared", "shared"};
-            }),
-            kCorruption);
+  two_tokens.tokens =
+      KeyTable::Of({"shared", "alpha"}, {loader.low(), loader.high()});
+  EXPECT_EQ(loader.Load(two_tokens).code(), kCorruption);
+  two_tokens.tokens =
+      KeyTable::Of({"shared", "shared"}, {loader.low(), loader.high()});
+  EXPECT_EQ(loader.Load(two_tokens).code(), kCorruption);
   // Label text offsets: monotone, from 0 to the blob's end.
   EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->text_offsets = {0, 7, 6}; }),
             kCorruption);
@@ -282,6 +315,58 @@ TEST(EntityIndexTest, LoadRejectsMalformedLabelTable) {
             kCorruption);
   EXPECT_EQ(loader.LoadWith([](IndexPayload* p) { p->token_offsets = {0, 1, 3}; }),
             kCorruption);
+}
+
+// The label and token key tables: key offsets span the key blob, postings
+// offsets match the keys and span the postings, and label keys strictly
+// ascend like token keys.
+TEST(EntityIndexTest, LoadRejectsMalformedKeyTables) {
+  constexpr auto kCorruption = Status::Code::kCorruption;
+  IndexLoader loader;
+  for (KeyTable IndexPayload::*table :
+       {&IndexPayload::labels, &IndexPayload::tokens}) {
+    auto load_with = [&](void (*edit)(KeyTable*)) {
+      IndexPayload p = loader.valid();
+      edit(&(p.*table));
+      return loader.Load(p).code();
+    };
+    // Key offsets: from 0, monotone, ending at the blob's end.
+    EXPECT_EQ(load_with([](KeyTable* t) { t->key_offsets = {1, 6}; }),
+              kCorruption);
+    EXPECT_EQ(load_with([](KeyTable* t) { t->key_offsets = {0, 7}; }),
+              kCorruption);
+    EXPECT_EQ(load_with([](KeyTable* t) { t->key_offsets = {0, 5}; }),
+              kCorruption);
+    EXPECT_EQ(load_with([](KeyTable* t) { t->key_offsets = {0, 7, 6}; }),
+              kCorruption);
+    EXPECT_EQ(load_with([](KeyTable* t) { t->key_offsets.clear(); }),
+              kCorruption);
+    // Postings offsets: one per key plus one, monotone, from 0 to the end
+    // of the postings.
+    EXPECT_EQ(load_with([](KeyTable* t) { t->postings_offsets = {0, 2, 2}; }),
+              kCorruption);
+    EXPECT_EQ(load_with([](KeyTable* t) { t->postings_offsets = {0, 3}; }),
+              kCorruption);
+    EXPECT_EQ(load_with([](KeyTable* t) { t->postings_offsets = {0, 1}; }),
+              kCorruption);
+    EXPECT_EQ(load_with([](KeyTable* t) { t->postings_offsets = {1, 2}; }),
+              kCorruption);
+    EXPECT_EQ(load_with([](KeyTable* t) { t->postings_offsets.clear(); }),
+              kCorruption);
+  }
+  // Descending postings offsets over three keys.
+  IndexPayload p = loader.valid();
+  p.tokens = KeyTable::Of({"alpha", "beta", "shared"},
+                          {loader.low(), loader.high()});
+  EXPECT_TRUE(loader.Load(p).ok());
+  p.tokens.postings_offsets = {0, 5, 1, 6};
+  EXPECT_EQ(loader.Load(p).code(), kCorruption);
+  // Label keys strictly ascend too: lookups binary-search them.
+  p = loader.valid();
+  p.labels = KeyTable::Of({"shared", "alpha"}, {loader.low(), loader.high()});
+  EXPECT_EQ(loader.Load(p).code(), kCorruption);
+  p.labels = KeyTable::Of({"alpha", "shared"}, {loader.low(), loader.high()});
+  EXPECT_TRUE(loader.Load(p).ok());
 }
 
 TEST(EntityIndexTest, NumericLiteralsAreNotIndexed) {

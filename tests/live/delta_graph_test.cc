@@ -203,21 +203,17 @@ TEST(DeltaGraphTest, OverlayIndexesMatchFreshlyBuiltOnes) {
         << "in signature of " << g.dict().text(v);
   }
 
-  // Same for the entity index: postings answer identically (order-free).
+  // Same for the entity index: postings answer identically (both ascending).
   linking::EntityIndex fresh_entities(g);
   for (const char* label : {"Alice Smith", "Dave Jones", "Bobby", "nope"}) {
-    auto got = view.entities->ExactMatches(label);
-    auto want = fresh_entities.ExactMatches(label);
-    std::sort(got.begin(), got.end());
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(got, want) << "exact matches of " << label;
+    EXPECT_TRUE(std::ranges::equal(view.entities->ExactMatches(label),
+                                   fresh_entities.ExactMatches(label)))
+        << "exact matches of " << label;
   }
   for (const char* token : {"alice", "dave", "smith", "bobby"}) {
-    auto got = view.entities->TokenMatches(token);
-    auto want = fresh_entities.TokenMatches(token);
-    std::sort(got.begin(), got.end());
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(got, want) << "token matches of " << token;
+    EXPECT_TRUE(std::ranges::equal(view.entities->TokenMatches(token),
+                                   fresh_entities.TokenMatches(token)))
+        << "token matches of " << token;
   }
   // Labels and their token spans. Overlay ids legitimately differ from a
   // rebuild's ranks ("bobby" is new to the base), so spans are compared
@@ -234,8 +230,8 @@ TEST(DeltaGraphTest, OverlayIndexesMatchFreshlyBuiltOnes) {
   auto label_rows = [&](const linking::EntityIndex& index, TermId v) {
     std::map<uint32_t, std::string> token_of;
     for (const std::string& token : vocabulary) {
-      const linking::EntityIndex::TokenEntry* entry = index.FindToken(token);
-      if (entry != nullptr) token_of[entry->id] = token;
+      auto entry = index.FindToken(token);
+      if (entry) token_of[entry->id] = token;
     }
     std::vector<std::string> rows;
     linking::EntityIndex::LabelList labels = index.LabelsOf(v);
@@ -258,7 +254,7 @@ TEST(DeltaGraphTest, OverlayIndexesMatchFreshlyBuiltOnes) {
     EXPECT_EQ(view.entities->MinLabelTokens(v), fresh_entities.MinLabelTokens(v))
         << "fewest label tokens of " << name;
   }
-  ASSERT_NE(view.entities->FindToken("bobby"), nullptr);
+  ASSERT_TRUE(view.entities->FindToken("bobby").has_value());
   EXPECT_GE(view.entities->FindToken("bobby")->id,
             delta.base()->entity_index->TokenIdEnd());
   EXPECT_EQ(view.entities->FindToken("alice")->id,

@@ -259,9 +259,9 @@ void RunOracle(const datagen::KbGenerator::GeneratedKb& kb, bool live,
           BuildLiveIndex(kb.graph, HubTokens(flat, AllLabels(flat), 12), seed);
       ASSERT_NE(overlay, nullptr);
       ASSERT_FALSE(overlay->novel_phrases.empty());
-      const EntityIndex::TokenEntry* novel =
+      std::optional<EntityIndex::TokenEntry> novel =
           overlay->view.entities->FindToken("novel0x");
-      ASSERT_NE(novel, nullptr);
+      ASSERT_TRUE(novel.has_value());
       EXPECT_GE(novel->id, flat.TokenIdEnd());
       phrases.insert(phrases.end(), overlay->novel_phrases.begin(),
                      overlay->novel_phrases.end());

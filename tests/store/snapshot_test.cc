@@ -98,10 +98,11 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
   // Entity index: label and token postings answer identically.
   ASSERT_NE(loaded->entity_index, nullptr);
   linking::EntityIndex fresh_index(world.graph);
-  EXPECT_EQ(loaded->entity_index->ExactMatches("Alice Smith"),
-            fresh_index.ExactMatches("Alice Smith"));
-  EXPECT_EQ(loaded->entity_index->TokenMatches("alice"),
-            fresh_index.TokenMatches("alice"));
+  const linking::EntityIndex& index = *loaded->entity_index;
+  EXPECT_TRUE(std::ranges::equal(index.ExactMatches("Alice Smith"),
+                                 fresh_index.ExactMatches("Alice Smith")));
+  EXPECT_TRUE(std::ranges::equal(index.TokenMatches("alice"),
+                                 fresh_index.TokenMatches("alice")));
   // Labels: same texts and the same interned token spans, row for row.
   linking::EntityIndex::LabelList got = loaded->entity_index->LabelsOf(alice);
   linking::EntityIndex::LabelList want = fresh_index.LabelsOf(alice);

@@ -1,5 +1,5 @@
 // The storage tier: a file load must reconstruct the same bundle as the
-// in-memory load, legacy v2 and v3 containers and non-raw section
+// in-memory load, legacy v2, v3 and v4 containers and non-raw section
 // encodings must be rejected, and corruption in any section must be rejected — through the
 // CRC and, when the CRC is forged, through the section loaders' own
 // validation. Paths that cannot be read are I/O errors.
@@ -94,7 +94,7 @@ TEST(StorageTierTest, FileLoadReconstructsIdentically) {
 }
 
 TEST(StorageTierTest, LegacyVersionTwoContainerIsRejected) {
-  // v4 is the only readable layout: a container claiming version 2 (the
+  // v5 is the only readable layout: a container claiming version 2 (the
   // u32 after the 8-byte magic and 4-byte byte-order mark) must fail with
   // the rebuild hint instead of being parsed with the narrower v2 table.
   std::string bytes = Write();
@@ -111,6 +111,19 @@ TEST(StorageTierTest, LegacyVersionThreeContainerIsRejected) {
   // flat label table and token spans: rebuild, never misparse.
   std::string bytes = Write();
   bytes[12] = 3;
+  auto loaded = ReadSnapshot(bytes, &World().lexicon);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsCorruption());
+  EXPECT_NE(loaded.status().ToString().find("rebuild the snapshot"),
+            std::string::npos);
+}
+
+TEST(StorageTierTest, LegacyVersionFourContainerIsRejected) {
+  // A v4 container has the same table but an entity index whose postings
+  // are a varint count of (key, list) records, not the sorted key tables:
+  // rebuild, never misparse.
+  std::string bytes = Write();
+  bytes[12] = 4;
   auto loaded = ReadSnapshot(bytes, &World().lexicon);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsCorruption());
@@ -260,9 +273,17 @@ TEST(StorageTierTest, TermOffsetPastArenaIsRejected) {
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status().ToString();
 }
 
+// Where the entity index section keeps each array of one sorted key table
+// (label or token postings), as file offsets.
+struct KeyTableLayout {
+  size_t keys = 0, key_offsets = 0, postings_offsets = 0, postings = 0;
+  size_t keys_size = 0, num_keys = 0, num_postings = 0;
+};
+
 // Where the entity index section keeps the payload of each array of its
-// flat label table, as file offsets.
+// key tables and its flat label table, as file offsets.
 struct LabelTableLayout {
+  KeyTableLayout label_keys, token_keys;
   size_t vertices = 0, vertex_rows = 0, text_offsets = 0, token_offsets = 0,
          token_ids = 0;
   size_t num_vertices = 0, text_size = 0, num_labels = 0, num_token_ids = 0;
@@ -278,23 +299,23 @@ LabelTableLayout ParseLabelTable(const std::string& bytes,
   r.set_aligned(true);
   // File offset just past what r has read so far.
   auto at = [&] { return section.offset + section.size - r.remaining(); };
-  for (int map = 0; map < 2; ++map) {
-    uint64_t keys = 0;
-    EXPECT_TRUE(r.ReadCount(&keys).ok());
-    if (map == 1) layout.vocabulary = keys;
-    for (uint64_t i = 0; i < keys; ++i) {
-      std::string key;
-      std::vector<uint32_t> postings;
-      EXPECT_TRUE(r.ReadString(&key).ok());
-      EXPECT_TRUE(r.ReadPodVector(&postings).ok());
-    }
-  }
   std::vector<uint32_t> column;
   auto read_column = [&](size_t* offset, size_t* count) {
     EXPECT_TRUE(r.ReadPodVector(&column).ok());
     *offset = at() - column.size() * sizeof(uint32_t);
     if (count != nullptr) *count = column.size();
   };
+  for (KeyTableLayout* table : {&layout.label_keys, &layout.token_keys}) {
+    std::string keys;
+    EXPECT_TRUE(r.ReadString(&keys).ok());
+    table->keys_size = keys.size();
+    table->keys = at() - keys.size();
+    read_column(&table->key_offsets, &table->num_keys);
+    --table->num_keys;
+    read_column(&table->postings_offsets, nullptr);
+    read_column(&table->postings, &table->num_postings);
+  }
+  layout.vocabulary = layout.token_keys.num_keys;
   read_column(&layout.vertices, &layout.num_vertices);
   read_column(&layout.vertex_rows, nullptr);
   std::string text;
@@ -318,13 +339,16 @@ void PutU32(std::string* bytes, size_t at, uint32_t v) {
 }
 
 TEST(StorageTierTest, ForgedLabelTableArraysAreRejected) {
-  // Targeted edits of every array of the entity index's flat label table,
-  // each behind a forged CRC: the loader's own validation must answer
-  // Corruption, never hand out a view past an array's end. The KB's
-  // entities have multi-token names, so spans have several ids.
+  // Targeted edits of every array of the entity index's key tables and
+  // flat label table, each behind a forged CRC: the loader's own validation
+  // must answer Corruption, never hand out a view past an array's end. The
+  // KB's entities have multi-token names, so spans have several ids, and
+  // <Blue_Lake_(film)> shares the label "blue lake", so some postings
+  // lists have two vertices.
   rdf::RdfGraph graph;
-  for (const char* name : {"Red_River_Valley", "Blue_Lake", "Green_Hill_Farm",
-                           "Old_Mill", "North_Gate_Tower"}) {
+  for (const char* name :
+       {"Red_River_Valley", "Blue_Lake", "Green_Hill_Farm", "Old_Mill",
+        "North_Gate_Tower", "Blue_Lake_(film)"}) {
     graph.AddTriple(name, "rdf:type", "Place");
   }
   ASSERT_TRUE(graph.Finalize().ok());
@@ -350,6 +374,21 @@ TEST(StorageTierTest, ForgedLabelTableArraysAreRejected) {
     }
   }
   ASSERT_LT(wide_begin, layout.num_token_ids);
+  const KeyTableLayout& label_keys = layout.label_keys;
+  const KeyTableLayout& token_keys = layout.token_keys;
+  ASSERT_GE(label_keys.num_keys, 3u);
+  ASSERT_GE(token_keys.num_keys, 3u);
+  // A label key posted by two vertices, for the postings-order edit.
+  size_t shared_begin = label_keys.num_postings;
+  for (size_t i = 0; i < label_keys.num_keys; ++i) {
+    uint32_t begin = GetU32(bytes, label_keys.postings_offsets + 4 * i);
+    uint32_t end = GetU32(bytes, label_keys.postings_offsets + 4 * (i + 1));
+    if (end - begin >= 2) {
+      shared_begin = begin;
+      break;
+    }
+  }
+  ASSERT_LT(shared_begin, label_keys.num_postings);
 
   // Each edit names the check that must catch it.
   struct Edit {
@@ -411,6 +450,42 @@ TEST(StorageTierTest, ForgedLabelTableArraysAreRejected) {
        [&](std::string* b) {
          PutU32(b, layout.token_offsets + 4 * layout.num_labels,
                 uint32_t(layout.num_token_ids) + 1);
+       }},
+      {"label key offset past the blob", "label key offsets not ascending",
+       [&](std::string* b) {
+         PutU32(b, label_keys.key_offsets + 4,
+                uint32_t(label_keys.keys_size) + 1);
+       }},
+      {"last token key offset short of the blob",
+       "token key offsets do not span",
+       [&](std::string* b) {
+         PutU32(b, token_keys.key_offsets + 4 * token_keys.num_keys,
+                uint32_t(token_keys.keys_size) - 1);
+       }},
+      {"label keys not ascending", "label keys not sorted",
+       [&](std::string* b) { (*b)[label_keys.keys] = '\x7f'; }},
+      {"token keys not ascending", "token keys not sorted",
+       [&](std::string* b) { (*b)[token_keys.keys] = '\x7f'; }},
+      {"token postings offset past the postings",
+       "token postings offsets not ascending",
+       [&](std::string* b) {
+         PutU32(b, token_keys.postings_offsets + 4,
+                uint32_t(token_keys.num_postings) + 1);
+       }},
+      {"last label postings offset short of the postings",
+       "label postings offsets do not span",
+       [&](std::string* b) {
+         PutU32(b, label_keys.postings_offsets + 4 * label_keys.num_keys,
+                uint32_t(label_keys.num_postings) - 1);
+       }},
+      {"token posting out of the graph", "token posting out of range",
+       [&](std::string* b) { PutU32(b, token_keys.postings, 0x7fffffffu); }},
+      {"label postings not ascending", "label postings not sorted",
+       [&](std::string* b) {
+         size_t at = label_keys.postings + 4 * shared_begin;
+         uint32_t first = GetU32(*b, at);
+         PutU32(b, at, GetU32(*b, at + 4));
+         PutU32(b, at + 4, first);
        }},
   };
   for (const Edit& edit : edits) {
