@@ -48,9 +48,11 @@ struct TriplePattern {
 struct SparqlQuery {
   enum class Form { kSelect, kAsk };
 
-  /// ORDER BY [ASC|DESC](?var). Values that parse as numbers compare
-  /// numerically, others lexicographically — enough for the paper's own
-  /// aggregation example "ORDER BY DESC(?x) OFFSET 0 LIMIT 1".
+  /// ORDER BY [ASC|DESC](?var). Ascending order puts numbers (values whose
+  /// whole text parses as a number that is not NaN) first, by value with
+  /// ties broken by text, then every other value by text; DESC is the exact
+  /// reverse. Enough for the paper's own aggregation example
+  /// "ORDER BY DESC(?x) OFFSET 0 LIMIT 1".
   struct OrderBy {
     std::string var;
     bool descending = false;

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <set>
 #include <span>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/search.h"
@@ -155,13 +159,9 @@ SparqlEngine::SparqlEngine(const RdfGraph& graph)
     : SparqlEngine(graph, Options()) {}
 
 SparqlEngine::SparqlEngine(const RdfGraph& graph, Options options)
-    : graph_(graph), options_(options) {
-  if (const char* env = std::getenv("GANSWER_SPARQL_NAIVE");
-      env != nullptr && env[0] == '1') {
-    options_.use_planner = false;
-  }
-  if (options_.stats != nullptr) {
-    stats_ = options_.stats;
+    : graph_(graph) {
+  if (options.stats != nullptr) {
+    stats_ = options.stats;
   } else {
     owned_stats_ = std::make_unique<GraphStats>(GraphStats::Compute(graph));
     stats_ = owned_stats_.get();
@@ -213,7 +213,6 @@ size_t SparqlEngine::PredSlot(TermId p) const {
 SparqlEngine::PlannerCounters SparqlEngine::planner_counters() const {
   PlannerCounters c;
   c.planned_queries = planned_queries_.load(std::memory_order_relaxed);
-  c.naive_queries = naive_queries_.load(std::memory_order_relaxed);
   c.range_lookups = range_lookups_.load(std::memory_order_relaxed);
   c.full_scans = full_scans_.load(std::memory_order_relaxed);
   c.intermediate_bindings =
@@ -224,18 +223,105 @@ SparqlEngine::PlannerCounters SparqlEngine::planner_counters() const {
 
 namespace {
 
+// How one join step enumerates its pattern's triples. It depends only on
+// which positions are constants or bound by earlier steps, and in the
+// backtracking join the variables bound at step i are exactly those of
+// steps 0..i-1, so it is decided once per query.
+enum class Access : uint8_t {
+  kProbe,                // s, p, o known: one HasTriple
+  kSubjectPredicateRun,  // s, p known: binary-searched out-edge run
+  kSubjectScan,          // s known, p free: out-edges (o filters if known)
+  kObjectPredicateRun,   // o, p known: binary-searched in-edge run
+  kObjectScan,           // o known, s and p free: the in-edge list
+  kPredicateGroup,       // only p known: its PSO group
+  kFullScan,             // nothing known: every PSO group
+};
+
+Access AccessFor(const ResolvedPattern& rp, const std::vector<bool>& bound) {
+  auto known = [&](int i) { return !rp.is_var[i] || bound[rp.var_slot[i]]; };
+  bool sk = known(0), pk = known(1), ok = known(2);
+  if (sk && pk && ok) return Access::kProbe;
+  if (sk) return pk ? Access::kSubjectPredicateRun : Access::kSubjectScan;
+  if (ok) return pk ? Access::kObjectPredicateRun : Access::kObjectScan;
+  return pk ? Access::kPredicateGroup : Access::kFullScan;
+}
+
+const char* AccessName(Access access) {
+  switch (access) {
+    case Access::kProbe: return "existence probe (HasTriple)";
+    case Access::kSubjectPredicateRun:
+      return "subject+predicate range (out-edge run)";
+    case Access::kSubjectScan: return "subject scan (out-edges)";
+    case Access::kObjectPredicateRun:
+      return "object+predicate range (in-edge run)";
+    case Access::kObjectScan: return "object scan (in-edges)";
+    case Access::kPredicateGroup: return "predicate scan (PSO)";
+    case Access::kFullScan: return "full scan";
+  }
+  return "";
+}
+
+struct PlanStep {
+  size_t pattern = 0;     // index into the query's pattern list
+  double estimate = 0.0;  // estimated candidate rows at this step
+  Access access = Access::kFullScan;
+};
+
+// One side of the leading sort-merge join: a pattern's predicate group,
+// sorted on the join key (PSO when the key is the subject, POS when it is
+// the object).
+struct MergeSide {
+  size_t pred_slot = 0;
+  bool key_at_subject = false;
+  size_t other_slot = 0;  // binding slot of the non-key variable
+};
+
+// The whole execution plan of one BGP: what EvaluateBgp runs and
+// ExplainPlan renders.
+struct Plan {
+  std::vector<PlanStep> steps;  // join order
+  // Steps 0 and 1 run as one sort-merge join on variable slot merge_key.
+  bool merge_join = false;
+  size_t merge_key = 0;
+  std::array<MergeSide, 2> merge_sides{};
+};
+
+// The merge side of `rp` keyed on `key`: the predicate must be a constant
+// with a group, the key must sit at exactly one of subject and object, and
+// the other end must be a free variable. A constant there means the
+// pattern resolves to a selective PSO/POS probe on that constant — the plan
+// the orderer already picked — and merging would instead scan the whole
+// predicate group (catastrophic for skewed groups like rdf:type).
+std::optional<MergeSide> MergeSideFor(const ResolvedPattern& rp, size_t key,
+                                      const std::vector<uint32_t>& pred_slot) {
+  if (rp.is_var[1]) return std::nullopt;
+  TermId p = rp.constant[1];
+  if (p >= pred_slot.size() || pred_slot[p] == kNoSlot) return std::nullopt;
+  bool key_at_subject = rp.is_var[0] && rp.var_slot[0] == key;
+  bool key_at_object = rp.is_var[2] && rp.var_slot[2] == key;
+  if (key_at_subject == key_at_object) return std::nullopt;
+  int other = key_at_subject ? 2 : 0;
+  if (!rp.is_var[other] || rp.var_slot[other] == key) return std::nullopt;
+  return MergeSide{pred_slot[p], key_at_subject, rp.var_slot[other]};
+}
+
 // Greedy cost-based join order: cheapest-estimated pattern first, then
 // repeatedly the pattern connected to the bound variables that minimizes
 // the estimated intermediate-result size; a cross product is taken only
-// when no unused pattern touches a bound variable.
-std::vector<std::pair<size_t, double>> PlanJoinOrder(
-    const RdfGraph& graph, const GraphStats& stats,
-    const std::vector<ResolvedPattern>& resolved, size_t num_slots) {
+// when no unused pattern touches a bound variable. Each step's access path
+// follows from the variables bound before it. The first two steps become
+// a sort-merge join when both have constant predicates, share exactly one
+// variable and are free everywhere else: both groups are then sorted on
+// the shared variable, so the join is one linear merge of two sorted runs
+// instead of |A| binary probes.
+Plan MakePlan(const RdfGraph& graph, const GraphStats& stats,
+              const std::vector<ResolvedPattern>& resolved, size_t num_vars,
+              const std::vector<uint32_t>& pred_slot) {
   const size_t n = resolved.size();
   std::vector<bool> used(n, false);
-  std::vector<bool> bound(num_slots, false);
-  std::vector<std::pair<size_t, double>> plan;
-  plan.reserve(n);
+  std::vector<bool> bound(num_vars, false);
+  Plan plan;
+  plan.steps.reserve(n);
   for (size_t step = 0; step < n; ++step) {
     size_t best = n;
     double best_cost = 0.0;
@@ -252,21 +338,30 @@ std::vector<std::pair<size_t, double>> PlanJoinOrder(
       }
     }
     used[best] = true;
-    plan.emplace_back(best, best_cost);
+    plan.steps.push_back({best, best_cost, AccessFor(resolved[best], bound)});
     for (int i = 0; i < 3; ++i) {
       if (resolved[best].is_var[i]) bound[resolved[best].var_slot[i]] = true;
     }
   }
+
+  if (n < 2) return plan;
+  const ResolvedPattern& a = resolved[plan.steps[0].pattern];
+  const ResolvedPattern& b = resolved[plan.steps[1].pattern];
+  // Each side then has exactly two variables, the key and its other end;
+  // distinct other ends make the key the only shared variable.
+  for (int pos : {0, 2}) {
+    if (!a.is_var[pos]) continue;
+    auto side_a = MergeSideFor(a, a.var_slot[pos], pred_slot);
+    auto side_b = MergeSideFor(b, a.var_slot[pos], pred_slot);
+    if (side_a && side_b && side_a->other_slot != side_b->other_slot) {
+      plan.merge_join = true;
+      plan.merge_key = a.var_slot[pos];
+      plan.merge_sides = {*side_a, *side_b};
+      break;
+    }
+  }
   return plan;
 }
-
-// One side of a leading sort-merge join: the sorted (key, other) pair run
-// of a pattern's predicate group, keyed on the shared join variable.
-struct MergeSide {
-  const std::pair<TermId, TermId>* begin = nullptr;
-  const std::pair<TermId, TermId>* end = nullptr;
-  size_t other_slot = 0;  // binding slot of the non-key variable
-};
 
 }  // namespace
 
@@ -294,21 +389,10 @@ StatusOr<std::vector<std::vector<TermId>>> SparqlEngine::EvaluateBgp(
     return rows;
   }
 
-  const bool planned = options_.use_planner;
-  uint64_t local_range = 0, local_full = 0, local_bind = 0, local_merge = 0;
-
-  std::vector<size_t> order;
-  order.reserve(resolved.size());
-  if (planned) {
-    for (const auto& [i, est] :
-         PlanJoinOrder(graph_, *stats_, resolved, rs.var_slots.size())) {
-      order.push_back(i);
-    }
-    planned_queries_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    for (size_t i = 0; i < resolved.size(); ++i) order.push_back(i);
-    naive_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
+  const Plan plan =
+      MakePlan(graph_, *stats_, resolved, rs.var_slots.size(), pred_slot_);
+  planned_queries_.fetch_add(1, std::memory_order_relaxed);
+  uint64_t local_range = 0, local_full = 0, local_bind = 0;
 
   std::vector<TermId> binding(rs.var_slots.size(), kInvalidTerm);
 
@@ -318,88 +402,82 @@ StatusOr<std::vector<std::vector<TermId>>> SparqlEngine::EvaluateBgp(
     return binding[rp.var_slot[i]];
   };
 
-  // Enumerates the concrete triples matching `rp` under the current
-  // binding, calling fn(s, p, o) for each; fn returns false to stop early.
-  // Planned mode resolves bound terms to sorted runs by binary search;
-  // naive mode reproduces the baseline's linear scans and filters.
-  auto enumerate = [&](const ResolvedPattern& rp, auto&& fn) {
+  // Enumerates the concrete triples matching `rp` along the step's access
+  // path, calling fn(s, p, o) for each; fn returns false to stop early.
+  auto enumerate = [&](const ResolvedPattern& rp, Access access, auto&& fn) {
     TermId s = value_of(rp, 0), p = value_of(rp, 1), o = value_of(rp, 2);
-    bool sb = s != kInvalidTerm, pb = p != kInvalidTerm, ob = o != kInvalidTerm;
-    if (sb && pb && ob) {
-      if (planned) ++local_range;
-      if (graph_.HasTriple(s, p, o)) {
-        ++local_bind;
-        fn(s, p, o);
-      }
-      return;
-    }
-    if (sb) {
-      auto edges = graph_.OutEdges(s);
-      if (planned && pb) {
-        // Binary-search the predicate run instead of filtering the whole
-        // adjacency list.
+    switch (access) {
+      case Access::kProbe:
         ++local_range;
-        const Edge* it = EdgeRunLowerBound(edges, p);
+        if (graph_.HasTriple(s, p, o)) {
+          ++local_bind;
+          fn(s, p, o);
+        }
+        return;
+      case Access::kSubjectPredicateRun: {
+        ++local_range;
+        auto edges = graph_.OutEdges(s);
         const Edge* end = edges.data() + edges.size();
-        for (; it != end && it->predicate == p; ++it) {
+        for (const Edge* it = EdgeRunLowerBound(edges, p);
+             it != end && it->predicate == p; ++it) {
           ++local_bind;
           if (!fn(s, p, it->neighbor)) return;
         }
         return;
       }
-      for (const Edge& e : edges) {
-        if (pb && e.predicate != p) continue;
-        if (ob && e.neighbor != o) continue;
-        ++local_bind;
-        if (!fn(s, e.predicate, e.neighbor)) return;
-      }
-      return;
-    }
-    if (ob) {
-      if (planned && pb) {
+      case Access::kSubjectScan:
+        for (const Edge& e : graph_.OutEdges(s)) {
+          if (o != kInvalidTerm && e.neighbor != o) continue;
+          ++local_bind;
+          if (!fn(s, e.predicate, e.neighbor)) return;
+        }
+        return;
+      case Access::kObjectPredicateRun: {
         // The in-edge adjacency is sorted by (predicate, neighbor), so the
         // subjects form one binary-searched run — degree-sized, always no
         // larger than the POS group the same probe would search.
         ++local_range;
         auto edges = graph_.InEdges(o);
-        const Edge* it = EdgeRunLowerBound(edges, p);
         const Edge* end = edges.data() + edges.size();
-        for (; it != end && it->predicate == p; ++it) {
+        for (const Edge* it = EdgeRunLowerBound(edges, p);
+             it != end && it->predicate == p; ++it) {
           ++local_bind;
           if (!fn(it->neighbor, p, o)) return;
         }
         return;
       }
-      for (const Edge& e : graph_.InEdges(o)) {
-        if (pb && e.predicate != p) continue;
-        ++local_bind;
-        if (!fn(e.neighbor, e.predicate, o)) return;
+      case Access::kObjectScan:
+        for (const Edge& e : graph_.InEdges(o)) {
+          ++local_bind;
+          if (!fn(e.neighbor, e.predicate, o)) return;
+        }
+        return;
+      case Access::kPredicateGroup: {
+        ++local_full;
+        size_t slot = PredSlot(p);
+        if (slot == slot_predicate_.size()) return;
+        for (size_t i = slot_offsets_[slot]; i < slot_offsets_[slot + 1]; ++i) {
+          ++local_bind;
+          if (!fn(pso_[i].first, p, pso_[i].second)) return;
+        }
+        return;
       }
-      return;
-    }
-    if (pb) {
-      ++local_full;
-      size_t slot = PredSlot(p);
-      if (slot == slot_predicate_.size()) return;
-      for (size_t i = slot_offsets_[slot]; i < slot_offsets_[slot + 1]; ++i) {
-        ++local_bind;
-        if (!fn(pso_[i].first, p, pso_[i].second)) return;
-      }
-      return;
-    }
-    ++local_full;
-    for (size_t k = 0; k < slot_predicate_.size(); ++k) {
-      for (size_t i = slot_offsets_[k]; i < slot_offsets_[k + 1]; ++i) {
-        ++local_bind;
-        if (!fn(pso_[i].first, slot_predicate_[k], pso_[i].second)) return;
-      }
+      case Access::kFullScan:
+        ++local_full;
+        for (size_t k = 0; k < slot_predicate_.size(); ++k) {
+          for (size_t i = slot_offsets_[k]; i < slot_offsets_[k + 1]; ++i) {
+            ++local_bind;
+            if (!fn(pso_[i].first, slot_predicate_[k], pso_[i].second)) return;
+          }
+        }
+        return;
     }
   };
 
   bool done = false;
   auto recurse = [&](auto&& self, size_t idx) -> void {
     if (done) return;
-    if (idx == order.size()) {
+    if (idx == plan.steps.size()) {
       std::vector<TermId> row;
       row.reserve(out_slots.size());
       for (size_t slot : out_slots) row.push_back(binding[slot]);
@@ -407,8 +485,9 @@ StatusOr<std::vector<std::vector<TermId>>> SparqlEngine::EvaluateBgp(
       if (stop_at_first) done = true;
       return;
     }
-    const ResolvedPattern& rp = resolved[order[idx]];
-    enumerate(rp, [&](TermId s, TermId p, TermId o) -> bool {
+    const PlanStep& step = plan.steps[idx];
+    const ResolvedPattern& rp = resolved[step.pattern];
+    enumerate(rp, step.access, [&](TermId s, TermId p, TermId o) -> bool {
       // Bind unbound vars; check consistency for repeated vars within the
       // pattern (e.g. ?x p ?x).
       TermId vals[3] = {s, p, o};
@@ -431,101 +510,56 @@ StatusOr<std::vector<std::vector<TermId>>> SparqlEngine::EvaluateBgp(
     });
   };
 
-  // Leading sort-merge join: when the plan's first two patterns have
-  // constant predicates, share exactly one variable and have free
-  // variables everywhere else, both predicate groups are sorted on the
-  // shared variable's side (PSO when it is the subject, POS when it is the
-  // object), so the join is one linear merge of two sorted runs instead of
-  // |A| binary probes.
-  auto merge_side = [&](const ResolvedPattern& rp,
-                        size_t key_slot) -> std::optional<MergeSide> {
-    if (rp.is_var[1]) return std::nullopt;  // predicate must be constant
-    size_t slot = PredSlot(rp.constant[1]);
-    if (slot == slot_predicate_.size()) return std::nullopt;
-    bool key_at_subject = rp.is_var[0] && rp.var_slot[0] == key_slot;
-    bool key_at_object = rp.is_var[2] && rp.var_slot[2] == key_slot;
-    if (key_at_subject == key_at_object) return std::nullopt;  // need one side
-    MergeSide side;
-    const auto& arr = key_at_subject ? pso_ : pos_;
-    side.begin = arr.data() + slot_offsets_[slot];
-    side.end = arr.data() + slot_offsets_[slot + 1];
-    // The non-key side must be a free variable. A constant there means the
-    // pattern resolves to a selective PSO/POS probe on that constant — the
-    // plan the orderer already picked — and merging would instead scan the
-    // whole predicate group (catastrophic for skewed groups like rdf:type).
-    int other_pos = key_at_subject ? 2 : 0;
-    if (!rp.is_var[other_pos] || rp.var_slot[other_pos] == key_slot) {
-      return std::nullopt;
-    }
-    side.other_slot = rp.var_slot[other_pos];
-    return side;
-  };
-
-  auto try_merge_join = [&]() -> bool {
-    if (!planned || order.size() < 2) return false;
-    const ResolvedPattern& a = resolved[order[0]];
-    const ResolvedPattern& b = resolved[order[1]];
-    // Exactly one shared variable (predicates are constants below, so only
-    // subject/object slots participate).
-    std::set<size_t> va, vb;
-    for (int i = 0; i < 3; ++i) {
-      if (a.is_var[i]) va.insert(a.var_slot[i]);
-      if (b.is_var[i]) vb.insert(b.var_slot[i]);
-    }
-    std::vector<size_t> shared;
-    for (size_t s : va) {
-      if (vb.count(s) > 0) shared.push_back(s);
-    }
-    if (shared.size() != 1) return false;
-    size_t key = shared[0];
-    auto sa = merge_side(a, key);
-    auto sb = merge_side(b, key);
-    if (!sa.has_value() || !sb.has_value()) return false;
-
-    ++local_merge;
-    const auto* ia = sa->begin;
-    const auto* ib = sb->begin;
-    while (ia != sa->end && ib != sb->end && !done) {
+  if (plan.merge_join) {
+    merge_joins_.fetch_add(1, std::memory_order_relaxed);
+    auto run = [&](const MergeSide& side) {
+      const auto& arr = side.key_at_subject ? pso_ : pos_;
+      return std::pair{arr.data() + slot_offsets_[side.pred_slot],
+                       arr.data() + slot_offsets_[side.pred_slot + 1]};
+    };
+    const MergeSide& sa = plan.merge_sides[0];
+    const MergeSide& sb = plan.merge_sides[1];
+    auto [ia, a_end] = run(sa);
+    auto [ib, b_end] = run(sb);
+    while (ia != a_end && ib != b_end && !done) {
       if (ia->first < ib->first) {
         // The next matching key is usually a few entries ahead, so gallop:
         // exponential probe + branchless binary search in the bracket
         // beats a full-width lower_bound on long permutation runs.
-        ia = PairRunGallop(ia, sa->end, ib->first);
+        ia = PairRunGallop(ia, a_end, ib->first);
         continue;
       }
       if (ib->first < ia->first) {
-        ib = PairRunGallop(ib, sb->end, ia->first);
+        ib = PairRunGallop(ib, b_end, ia->first);
         continue;
       }
       TermId k = ia->first;
       const auto* ea = ia;
-      while (ea != sa->end && ea->first == k) ++ea;
+      while (ea != a_end && ea->first == k) ++ea;
       const auto* eb = ib;
-      while (eb != sb->end && eb->first == k) ++eb;
-      binding[key] = k;
+      while (eb != b_end && eb->first == k) ++eb;
+      binding[plan.merge_key] = k;
       for (const auto* pa = ia; pa != ea && !done; ++pa) {
-        binding[sa->other_slot] = pa->second;
+        binding[sa.other_slot] = pa->second;
         for (const auto* pb = ib; pb != eb && !done; ++pb) {
           ++local_bind;
-          binding[sb->other_slot] = pb->second;
+          binding[sb.other_slot] = pb->second;
           recurse(recurse, 2);
-          binding[sb->other_slot] = kInvalidTerm;
+          binding[sb.other_slot] = kInvalidTerm;
         }
-        binding[sa->other_slot] = kInvalidTerm;
+        binding[sa.other_slot] = kInvalidTerm;
       }
-      binding[key] = kInvalidTerm;
+      binding[plan.merge_key] = kInvalidTerm;
       ia = ea;
       ib = eb;
     }
-    return true;
-  };
-
-  if (!try_merge_join()) recurse(recurse, 0);
+  } else {
+    recurse(recurse, 0);
+  }
 
   range_lookups_.fetch_add(local_range, std::memory_order_relaxed);
   full_scans_.fetch_add(local_full, std::memory_order_relaxed);
   intermediate_bindings_.fetch_add(local_bind, std::memory_order_relaxed);
-  merge_joins_.fetch_add(local_merge, std::memory_order_relaxed);
   return rows;
 }
 
@@ -572,28 +606,32 @@ StatusOr<SparqlResult> SparqlEngine::Execute(const SparqlQuery& query) const {
                                      query.order_by->var +
                                      " is not among the result variables");
     }
-    bool desc = query.order_by->descending;
-    const TermDictionary& dict = graph_.dict();
-    auto sort_key = [&](TermId t) -> std::pair<double, std::string_view> {
-      std::string_view text = dict.text(t);
-      // The arena view is not NUL-terminated; strtod needs a terminated
-      // copy (ORDER BY keys are short literals).
-      std::string buf(text);
+    // One key per row, computed before sorting: (not a number, value,
+    // text). Numbers (text that strtod parses whole, not NaN) come first,
+    // by value with ties broken by text; everything else follows by text.
+    // That is a total order, so the sort is well defined on mixed columns;
+    // DESC reverses it.
+    using Key = std::tuple<bool, double, std::string_view>;
+    std::vector<std::pair<Key, std::vector<TermId>>> keyed;
+    keyed.reserve(result.rows.size());
+    std::string buf;  // strtod needs a NUL-terminated copy of the arena text
+    for (std::vector<TermId>& row : result.rows) {
+      std::string_view text = graph_.dict().text(row[col]);
+      buf.assign(text);
       char* end = nullptr;
       double num = std::strtod(buf.c_str(), &end);
-      bool numeric = end != buf.c_str() && *end == '\0';
-      return {numeric ? num : std::numeric_limits<double>::quiet_NaN(), text};
-    };
-    std::stable_sort(result.rows.begin(), result.rows.end(),
-                     [&](const std::vector<TermId>& a,
-                         const std::vector<TermId>& b) {
-                       auto [na, ta] = sort_key(a[col]);
-                       auto [nb, tb] = sort_key(b[col]);
-                       bool both_numeric = na == na && nb == nb;  // !NaN
-                       bool less = both_numeric ? na < nb : ta < tb;
-                       bool greater = both_numeric ? nb < na : tb < ta;
-                       return desc ? greater : less;
+      bool numeric = end != buf.c_str() && *end == '\0' && !std::isnan(num);
+      keyed.emplace_back(Key{!numeric, numeric ? num : 0.0, text},
+                         std::move(row));
+    }
+    const bool desc = query.order_by->descending;
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [&](const auto& a, const auto& b) {
+                       return desc ? b.first < a.first : a.first < b.first;
                      });
+    for (size_t i = 0; i < keyed.size(); ++i) {
+      result.rows[i] = std::move(keyed[i].second);
+    }
   }
   if (query.offset.has_value()) {
     size_t off = std::min(*query.offset, result.rows.size());
@@ -609,18 +647,6 @@ StatusOr<SparqlResult> SparqlEngine::ExecuteText(std::string_view text) const {
   auto query = SparqlParser::Parse(text);
   if (!query.ok()) return query.status();
   return Execute(*query);
-}
-
-StatusOr<std::vector<TermId>> SparqlEngine::SelectOne(
-    const std::vector<TriplePattern>& patterns, const std::string& var) const {
-  auto rows = EvaluateBgp(patterns, {var}, /*stop_at_first=*/false);
-  if (!rows.ok()) return rows.status();
-  std::vector<TermId> out;
-  out.reserve(rows->size());
-  for (const auto& row : *rows) out.push_back(row[0]);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 namespace {
@@ -640,36 +666,12 @@ std::string RenderPattern(const TriplePattern& tp) {
          " " + RenderPatternTerm(tp.object);
 }
 
-// Access path the executor takes for `rp` given the already-bound slots —
-// mirrors the case analysis in EvaluateBgp's enumerate().
-const char* AccessPathName(const ResolvedPattern& rp,
-                           const std::vector<bool>& bound, bool planned) {
-  auto known = [&](int i) { return !rp.is_var[i] || bound[rp.var_slot[i]]; };
-  bool sk = known(0), pk = known(1), ok = known(2);
-  if (sk && pk && ok) return "existence probe (HasTriple)";
-  if (sk && pk) {
-    return planned ? "subject+predicate range (out-edge run)"
-                   : "subject scan + predicate filter";
-  }
-  if (sk) return "subject scan (out-edges)";
-  if (ok && pk) {
-    return planned ? "object+predicate range (in-edge run)"
-                   : "object scan + predicate filter";
-  }
-  if (ok) return "object scan (in-edges)";
-  if (pk) return "predicate scan (PSO)";
-  return "full scan";
-}
-
 }  // namespace
 
 StatusOr<std::string> SparqlEngine::ExplainPlan(const SparqlQuery& query) const {
   ResolveOutcome rs = ResolvePatterns(graph_, query.patterns);
-  std::string out;
-  const bool planned = options_.use_planner;
-  out += planned ? "query plan: cost-based join order"
-                 : "query plan: naive textual order (planner disabled)";
-  out += " (" + std::to_string(query.patterns.size()) + " pattern";
+  std::string out = "query plan: cost-based join order (" +
+                    std::to_string(query.patterns.size()) + " pattern";
   if (query.patterns.size() != 1) out += "s";
   out += ")\n";
   if (rs.impossible) {
@@ -682,32 +684,24 @@ StatusOr<std::string> SparqlEngine::ExplainPlan(const SparqlQuery& query) const 
     return out;
   }
 
-  std::vector<std::pair<size_t, double>> plan;
-  if (planned) {
-    plan = PlanJoinOrder(graph_, *stats_, rs.resolved, rs.var_slots.size());
-  } else {
-    std::vector<bool> bound(rs.var_slots.size(), false);
-    for (size_t i = 0; i < rs.resolved.size(); ++i) {
-      plan.emplace_back(
-          i, EstimatePattern(graph_, *stats_, rs.resolved[i], bound));
-      for (int j = 0; j < 3; ++j) {
-        if (rs.resolved[i].is_var[j]) bound[rs.resolved[i].var_slot[j]] = true;
-      }
+  const Plan plan =
+      MakePlan(graph_, *stats_, rs.resolved, rs.var_slots.size(), pred_slot_);
+  for (size_t step = 0; step < plan.steps.size(); ++step) {
+    const PlanStep& ps = plan.steps[step];
+    const TriplePattern& tp = query.patterns[ps.pattern];
+    std::string via;
+    if (plan.merge_join && step < 2) {
+      const MergeSide& side = plan.merge_sides[step];
+      via = "leading sort-merge join on ?" +
+            (side.key_at_subject ? tp.subject : tp.object).text +
+            (side.key_at_subject ? " (PSO group)" : " (POS group)");
+    } else {
+      via = AccessName(ps.access);
     }
-  }
-
-  std::vector<bool> bound(rs.var_slots.size(), false);
-  for (size_t step = 0; step < plan.size(); ++step) {
-    const auto& [pi, est] = plan[step];
-    const ResolvedPattern& rp = rs.resolved[pi];
     char est_buf[32];
-    std::snprintf(est_buf, sizeof(est_buf), "%.1f", est);
-    out += "  " + std::to_string(step + 1) + ". " +
-           RenderPattern(query.patterns[pi]) + "   ~" + est_buf +
-           " rows via " + AccessPathName(rp, bound, planned) + "\n";
-    for (int j = 0; j < 3; ++j) {
-      if (rp.is_var[j]) bound[rp.var_slot[j]] = true;
-    }
+    std::snprintf(est_buf, sizeof(est_buf), "%.1f", ps.estimate);
+    out += "  " + std::to_string(step + 1) + ". " + RenderPattern(tp) +
+           "   ~" + est_buf + " rows via " + via + "\n";
   }
   return out;
 }

@@ -27,19 +27,13 @@ namespace rdf {
 /// Planning: a greedy cost-based orderer over GraphStats picks the
 /// cheapest-estimated pattern first, then repeatedly the pattern connected
 /// to the bound variables that minimizes the estimated intermediate-result
-/// size (cross products only when no connected pattern remains). The naive
-/// baseline — textual pattern order over linear scans, the differential-
-/// testing and bench reference — is selected by Options::use_planner =
-/// false or the GANSWER_SPARQL_NAIVE=1 environment variable. Both modes
-/// enumerate the same solution multiset.
+/// size (cross products only when no connected pattern remains). One plan
+/// value fixes the join order, each step's access path and whether the
+/// first two steps run as the merge join; Execute runs it and ExplainPlan
+/// renders it.
 class SparqlEngine {
  public:
   struct Options {
-    /// false forces the naive baseline: patterns joined in textual order
-    /// with linear-scan candidate enumeration (no binary-searched runs, no
-    /// merge join). The GANSWER_SPARQL_NAIVE=1 environment variable
-    /// overrides this to false at construction.
-    bool use_planner = true;
     /// Statistics backing the cost model; must outlive the engine. When
     /// null the engine computes (and owns) its own from the graph.
     const GraphStats* stats = nullptr;
@@ -52,8 +46,6 @@ class SparqlEngine {
   struct PlannerCounters {
     /// Queries whose BGP went through the cost-based orderer.
     uint64_t planned_queries = 0;
-    /// Queries executed in naive textual order.
-    uint64_t naive_queries = 0;
     /// Bound-term lookups answered by a binary-searched sorted run
     /// (adjacency runs, PSO/POS ranges, exact HasTriple probes).
     uint64_t range_lookups = 0;
@@ -77,30 +69,18 @@ class SparqlEngine {
   /// Parses and evaluates SPARQL text.
   StatusOr<SparqlResult> ExecuteText(std::string_view text) const;
 
-  /// Evaluates a bare BGP and returns every distinct binding of \p var.
-  /// Convenience used by gold-answer computation and the DEANNA baseline.
-  StatusOr<std::vector<TermId>> SelectOne(
-      const std::vector<TriplePattern>& patterns,
-      const std::string& var) const;
-
   /// Human-readable join plan for \p query: one line per pattern in
-  /// execution order with its cardinality estimate and access path. The
-  /// explain subsystem (qa/explain.h) includes this in answer explanations.
+  /// execution order with its cardinality estimate and access path (the
+  /// leading merge join when Execute takes it). The explain subsystem
+  /// (qa/explain.h) includes this in answer explanations.
   StatusOr<std::string> ExplainPlan(const SparqlQuery& query) const;
 
   /// Snapshot of the cumulative execution counters.
   PlannerCounters planner_counters() const;
 
-  const RdfGraph& graph() const { return graph_; }
   const GraphStats& stats() const { return *stats_; }
-  const Options& options() const { return options_; }
 
  private:
-  struct PlanStep {
-    size_t pattern = 0;     // index into the query's pattern list
-    double estimate = 0.0;  // estimated candidate rows at this step
-  };
-
   StatusOr<std::vector<std::vector<TermId>>> EvaluateBgp(
       const std::vector<TriplePattern>& patterns,
       const std::vector<std::string>& out_vars, bool stop_at_first) const;
@@ -109,7 +89,6 @@ class SparqlEngine {
   size_t PredSlot(TermId p) const;
 
   const RdfGraph& graph_;
-  Options options_;
   std::unique_ptr<GraphStats> owned_stats_;
   const GraphStats* stats_ = nullptr;  // never null after construction
 
@@ -123,7 +102,6 @@ class SparqlEngine {
   std::vector<std::pair<TermId, TermId>> pos_;        // (o, s), sorted
 
   mutable std::atomic<uint64_t> planned_queries_{0};
-  mutable std::atomic<uint64_t> naive_queries_{0};
   mutable std::atomic<uint64_t> range_lookups_{0};
   mutable std::atomic<uint64_t> full_scans_{0};
   mutable std::atomic<uint64_t> intermediate_bindings_{0};

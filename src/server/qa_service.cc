@@ -466,7 +466,6 @@ void QaService::HandleStats(const HttpServer::ResponseWriter& writer) {
   }
   w.Key("planner").BeginObject();
   w.Field("planned_queries", static_cast<int64_t>(planner.planned_queries))
-      .Field("naive_queries", static_cast<int64_t>(planner.naive_queries))
       .Field("range_lookups", static_cast<int64_t>(planner.range_lookups))
       .Field("full_scans", static_cast<int64_t>(planner.full_scans))
       .Field("merge_joins", static_cast<int64_t>(planner.merge_joins))

@@ -10,13 +10,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
-#include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "rdf/rdf_graph.h"
@@ -152,27 +154,23 @@ inline SparqlOracleResult NaiveSparqlEvaluate(
   return result;
 }
 
-/// The engine's ORDER BY key comparison, replicated for checking that an
-/// engine result honoring ORDER BY really is sorted: values parsing fully
-/// as numbers compare numerically, everything else lexicographically.
+/// The engine's ORDER BY order, replicated for checking that an engine
+/// result honoring ORDER BY really is sorted. Ascending, numbers (text that
+/// strtod parses whole, not NaN) come first, by value with ties broken by
+/// text, then every other value by text; descending is the exact reverse.
+/// True when \p a may precede \p b.
 inline bool OrderByLeq(const rdf::TermDictionary& dict, rdf::TermId a,
                        rdf::TermId b, bool descending) {
-  auto key = [&](rdf::TermId t) -> std::pair<double, std::string_view> {
+  // (not a number, value, text), compared lexicographically.
+  auto key = [&](rdf::TermId t) {
     std::string_view text = dict.text(t);
     std::string buf(text);  // strtod needs a NUL terminator
     char* end = nullptr;
     double num = std::strtod(buf.c_str(), &end);
-    bool numeric = end != buf.c_str() && *end == '\0';
-    return {numeric ? num
-                    : std::numeric_limits<double>::quiet_NaN(),
-            text};
+    bool numeric = end != buf.c_str() && *end == '\0' && !std::isnan(num);
+    return std::tuple(!numeric, numeric ? num : 0.0, text);
   };
-  auto [na, ta] = key(a);
-  auto [nb, tb] = key(b);
-  bool both_numeric = na == na && nb == nb;
-  bool lt = both_numeric ? na < nb : ta < tb;
-  bool gt = both_numeric ? nb < na : tb < ta;
-  return descending ? !lt : !gt;  // "a may precede b"
+  return descending ? !(key(a) < key(b)) : !(key(b) < key(a));
 }
 
 }  // namespace testing

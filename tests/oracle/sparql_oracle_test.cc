@@ -164,50 +164,6 @@ TEST(SparqlOracleTest, EngineMatchesNaiveNestedLoopJoin) {
   });
 }
 
-// Planner differential: the cost-based join order (sorted permutation
-// indexes, merge joins) and the naive textual order must produce identical
-// result multisets on every query — the planner only reorders an
-// order-invariant backtracking join. Cut modifiers are dropped so the full
-// multiset is comparable.
-TEST(SparqlOracleTest, PlannedOrderMatchesNaiveOrder) {
-  ForEachSeed(9000, 40, [](uint64_t seed) {
-    Rng rng(seed);
-    RandomGraphOptions gopts;
-    gopts.num_vertices = 8 + rng.Next(6);
-    gopts.num_predicates = 2 + rng.Next(3);
-    gopts.num_triples = 16 + rng.Next(20);
-    gopts.literal_rate = rng.Chance(0.5) ? 0.15 : 0.0;
-    RandomGraphData data = BuildRandomGraph(seed * 7 + 1, gopts);
-    rdf::SparqlEngine planned(data.graph);
-    rdf::SparqlEngine::Options naive_options;
-    naive_options.use_planner = false;
-    rdf::SparqlEngine naive(data.graph, naive_options);
-    for (int i = 0; i < 8; ++i) {
-      SparqlQuery q = RandomQuery(rng, gopts);
-      q.limit.reset();
-      q.offset.reset();
-      SCOPED_TRACE("query: " + q.ToString());
-      auto a = planned.Execute(q);
-      auto b = naive.Execute(q);
-      ASSERT_EQ(a.ok(), b.ok())
-          << (a.ok() ? b.status().ToString() : a.status().ToString());
-      if (!a.ok()) continue;
-      EXPECT_EQ(a->ask_result, b->ask_result);
-      ASSERT_EQ(a->var_names, b->var_names);
-      std::vector<std::vector<rdf::TermId>> ra = a->rows;
-      std::vector<std::vector<rdf::TermId>> rb = b->rows;
-      std::sort(ra.begin(), ra.end());
-      std::sort(rb.begin(), rb.end());
-      EXPECT_EQ(ra, rb);
-    }
-    // The two engines really took the two paths.
-    EXPECT_GT(planned.planner_counters().planned_queries, 0u);
-    EXPECT_EQ(planned.planner_counters().naive_queries, 0u);
-    EXPECT_EQ(naive.planner_counters().planned_queries, 0u);
-    EXPECT_GT(naive.planner_counters().naive_queries, 0u);
-  });
-}
-
 // The text round trip must not change semantics: Execute(Parse(ToString(q)))
 // == Execute(q) for queries without literals-with-quotes (ToString does not
 // escape, documented SPARQL-lite).

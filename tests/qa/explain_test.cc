@@ -115,14 +115,6 @@ TEST_F(ExplainTest, QueryPlansRenderPerInterpretation) {
   EXPECT_NE(text->find("-- interpretation 1 of "), std::string::npos) << *text;
   EXPECT_NE(text->find("cost-based join order"), std::string::npos) << *text;
   EXPECT_NE(text->find("rows via"), std::string::npos) << *text;
-
-  // The naive engine renders the same queries under its own header.
-  rdf::SparqlEngine::Options naive_options;
-  naive_options.use_planner = false;
-  rdf::SparqlEngine naive(world_.kb.graph, naive_options);
-  auto naive_text = ExplainQueryPlans(naive, queries);
-  ASSERT_TRUE(naive_text.ok());
-  EXPECT_NE(naive_text->find("naive textual order"), std::string::npos);
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdlib>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
+#include "datagen/kb_generator.h"
 #include "rdf/sparql_parser.h"
 
 namespace ganswer {
@@ -146,6 +148,38 @@ TEST(SparqlEngineTest, EmptyBgpSelectsOneEmptySolutionForAsk) {
   EXPECT_TRUE(r->ask_result);
 }
 
+// "2" < "10" by number, "10" < "1a" and "1a" < "2" by text: comparing by
+// number only when both sides parse is a cycle, not an order. ORDER BY puts
+// numbers first, by value, then other values by text, whatever order the
+// triples were added in.
+TEST(SparqlEngineTest, OrderByIsATotalOrderOnMixedValues) {
+  std::array<std::string, 3> values = {"2", "10", "1a"};
+  std::sort(values.begin(), values.end());
+  do {
+    RdfGraph g;
+    for (const std::string& v : values) {
+      g.AddTriple("m" + v, "value", v, TermKind::kLiteral);
+    }
+    ASSERT_TRUE(g.Finalize().ok());
+    SparqlEngine engine(g);
+    auto column = [&](const char* direction) {
+      auto r = engine.ExecuteText(
+          std::string("SELECT ?v WHERE { ?m <value> ?v } ORDER BY ") +
+          direction + "(?v)");
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      std::vector<std::string> out;
+      if (r.ok()) {
+        for (const auto& row : r->rows) out.emplace_back(g.dict().text(row[0]));
+      }
+      return out;
+    };
+    SCOPED_TRACE("insertion order " + values[0] + " " + values[1] + " " +
+                 values[2]);
+    EXPECT_EQ(column("ASC"), (std::vector<std::string>{"2", "10", "1a"}));
+    EXPECT_EQ(column("DESC"), (std::vector<std::string>{"1a", "10", "2"}));
+  } while (std::next_permutation(values.begin(), values.end()));
+}
+
 // ---------------------------------------------------------------------------
 // Property test: the engine agrees with a brute-force evaluator on random
 // small graphs and random 2-pattern queries.
@@ -207,47 +241,16 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, SparqlEnginePropertyTest,
 // Cost-based planner: ordering, counters, merge join, explain output.
 // ---------------------------------------------------------------------------
 
-TEST(SparqlPlannerTest, PlannedAndNaiveProduceSameRows) {
-  RdfGraph g = FamilyGraph();
-  SparqlEngine planned(g);
-  SparqlEngine::Options naive_options;
-  naive_options.use_planner = false;
-  SparqlEngine naive(g, naive_options);
-  const char* text =
-      "SELECT ?x ?f WHERE { ?x <rdf:type> <Actor> . ?f <starring> ?x }";
-  auto a = planned.ExecuteText(text);
-  auto b = naive.ExecuteText(text);
-  ASSERT_TRUE(a.ok() && b.ok());
-  std::set<std::vector<TermId>> ra(a->rows.begin(), a->rows.end());
-  std::set<std::vector<TermId>> rb(b->rows.begin(), b->rows.end());
-  EXPECT_EQ(ra, rb);
-  EXPECT_EQ(ra.size(), 2u);  // (Antonio, Philadelphia), (Antonio, Assassins)
-}
-
 TEST(SparqlPlannerTest, CountersTrackExecutionPath) {
   RdfGraph g = FamilyGraph();
-  SparqlEngine planned(g);
-  SparqlEngine::Options naive_options;
-  naive_options.use_planner = false;
-  SparqlEngine naive(g, naive_options);
+  SparqlEngine engine(g);
   const char* text =
       "SELECT ?x WHERE { ?x <rdf:type> <Actor> . ?f <starring> ?x }";
-  ASSERT_TRUE(planned.ExecuteText(text).ok());
-  ASSERT_TRUE(naive.ExecuteText(text).ok());
+  ASSERT_TRUE(engine.ExecuteText(text).ok());
 
-  SparqlEngine::PlannerCounters pc = planned.planner_counters();
+  SparqlEngine::PlannerCounters pc = engine.planner_counters();
   EXPECT_EQ(pc.planned_queries, 1u);
-  EXPECT_EQ(pc.naive_queries, 0u);
   EXPECT_GT(pc.intermediate_bindings, 0u);
-
-  SparqlEngine::PlannerCounters nc = naive.planner_counters();
-  EXPECT_EQ(nc.planned_queries, 0u);
-  EXPECT_EQ(nc.naive_queries, 1u);
-  EXPECT_EQ(nc.merge_joins, 0u);
-  EXPECT_GT(nc.intermediate_bindings, 0u);
-  // The naive path enumerates at least as many candidate bindings as the
-  // planned one on this selective query.
-  EXPECT_GE(nc.intermediate_bindings, pc.intermediate_bindings);
 }
 
 TEST(SparqlPlannerTest, MergeJoinOnSharedSubjectVariable) {
@@ -255,15 +258,25 @@ TEST(SparqlPlannerTest, MergeJoinOnSharedSubjectVariable) {
   SparqlEngine engine(g);
   // Both patterns have constant predicates, share exactly ?f keyed at the
   // subject side of both sorted groups, and are free everywhere else — the
-  // leading merge join.
-  auto r = engine.ExecuteText(
+  // leading merge join, which ExplainPlan names for both steps.
+  auto q = SparqlParser::Parse(
       "SELECT ?f ?a ?d WHERE { ?f <starring> ?a . ?f <director> ?d }");
+  ASSERT_TRUE(q.ok());
+  auto plan = engine.ExplainPlan(*q);
+  ASSERT_TRUE(plan.ok());
+  const std::string merge = "via leading sort-merge join on ?f (PSO group)";
+  size_t first = plan->find(merge);
+  ASSERT_NE(first, std::string::npos) << *plan;
+  EXPECT_NE(plan->find(merge, first + 1), std::string::npos) << *plan;
+  EXPECT_EQ(engine.planner_counters().merge_joins, 0u);
+
+  auto r = engine.Execute(*q);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->rows.size(), 1u);
   EXPECT_EQ(g.dict().text(r->rows[0][0]), "Philadelphia_(film)");
   EXPECT_EQ(g.dict().text(r->rows[0][1]), "Antonio");
   EXPECT_EQ(g.dict().text(r->rows[0][2]), "Demme");
-  EXPECT_GT(engine.planner_counters().merge_joins, 0u);
+  EXPECT_EQ(engine.planner_counters().merge_joins, 1u);
 
   // A constant on a non-key side disables the merge: the planner's probe
   // on that constant is strictly cheaper than scanning both groups.
@@ -273,31 +286,27 @@ TEST(SparqlPlannerTest, MergeJoinOnSharedSubjectVariable) {
   ASSERT_EQ(probed->rows.size(), 1u);
   EXPECT_EQ(g.dict().text(probed->rows[0][0]), "Philadelphia_(film)");
   EXPECT_EQ(engine.planner_counters().merge_joins, 1u);
+  plan = engine.ExplainPlan(*SparqlParser::Parse(
+      "SELECT ?f ?d WHERE { ?f <starring> <Antonio> . ?f <director> ?d }"));
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->find("merge join"), std::string::npos) << *plan;
 }
 
-TEST(SparqlPlannerTest, ExplainPlanDescribesBothModes) {
+TEST(SparqlPlannerTest, ExplainPlanShowsCostBasedOrder) {
   RdfGraph g = FamilyGraph();
-  SparqlEngine planned(g);
-  SparqlEngine::Options naive_options;
-  naive_options.use_planner = false;
-  SparqlEngine naive(g, naive_options);
+  SparqlEngine engine(g);
 
   auto q = SparqlParser::Parse(
       "SELECT ?x ?y WHERE { ?x ?p ?y . ?f <starring> ?x }");
   ASSERT_TRUE(q.ok());
-  auto plan = planned.ExplainPlan(*q);
+  auto plan = engine.ExplainPlan(*q);
   ASSERT_TRUE(plan.ok());
   EXPECT_NE(plan->find("cost-based join order"), std::string::npos);
   // The selective starring pattern runs first; the open pattern then has
   // its subject bound and degrades to a subject scan, not a full scan.
   EXPECT_LT(plan->find("<starring>"), plan->find("?p"));
   EXPECT_NE(plan->find("subject scan"), std::string::npos) << *plan;
-
-  auto naive_plan = naive.ExplainPlan(*q);
-  ASSERT_TRUE(naive_plan.ok());
-  EXPECT_NE(naive_plan->find("naive textual order"), std::string::npos);
-  // Naive keeps the textual order: the full-scan pattern stays first.
-  EXPECT_LT(naive_plan->find("?p"), naive_plan->find("<starring>"));
+  EXPECT_EQ(plan->find("merge join"), std::string::npos) << *plan;
 }
 
 TEST(SparqlPlannerTest, ExplainPlanHandlesDegenerateQueries) {
@@ -317,18 +326,60 @@ TEST(SparqlPlannerTest, ExplainPlanHandlesDegenerateQueries) {
   EXPECT_NE(plan->find("unsatisfiable"), std::string::npos);
 }
 
-TEST(SparqlPlannerTest, EnvironmentVariableForcesNaiveOrder) {
-  RdfGraph g = FamilyGraph();
-  ASSERT_EQ(setenv("GANSWER_SPARQL_NAIVE", "1", /*overwrite=*/1), 0);
-  SparqlEngine engine(g);
-  unsetenv("GANSWER_SPARQL_NAIVE");
-  EXPECT_FALSE(engine.options().use_planner);
-  ASSERT_TRUE(
-      engine.ExecuteText("SELECT ?x WHERE { ?x <spouse> <Antonio> }").ok());
-  EXPECT_EQ(engine.planner_counters().naive_queries, 1u);
-  // A fresh engine without the variable plans again.
-  SparqlEngine fresh(g);
-  EXPECT_TRUE(fresh.options().use_planner);
+// qabench's 9 sparql_bgp templates over the default KbGenerator KB (seed
+// 42, 9,124 triples). Row counts and intermediate bindings are pinned to
+// what the engine returned before its naive mode was deleted; that mode
+// returned the same row counts. For the record of what the planner saves,
+// the naive mode (textual order, linear scans, no merge join) enumerated,
+// in template order, 490, 1,196, 1,270, 1,455, 250, 4, 2,499, 522,945 and
+// 992 intermediate bindings.
+TEST(SparqlPlannerTest, PinsBindingsOnTheBgpTemplates) {
+  auto kb = datagen::KbGenerator::Generate({});
+  ASSERT_TRUE(kb.ok()) << kb.status().ToString();
+  SparqlEngine engine(kb->graph);
+  struct Pinned {
+    const char* text;
+    size_t rows;
+    uint64_t bindings;
+  };
+  const Pinned kTemplates[] = {
+      {"SELECT ?w ?a WHERE { ?a rdf:type <Actor> . ?w <spouse> ?a . "
+       "?f <starring> ?a . ?f rdf:type <Film> }",
+       138, 490},
+      {"SELECT ?f ?d WHERE { ?f rdf:type <Film> . ?f <starring> ?a . "
+       "?f <director> ?d }",
+       496, 904},
+      {"SELECT ?p ?t WHERE { ?p rdf:type <Person> . ?p <playForTeam> ?t . "
+       "?t <locationCity> ?c }",
+       92, 276},
+      {"SELECT ?g ?c WHERE { ?g <hasChild> ?p . ?p <hasChild> ?c . "
+       "?p <spouse> ?s }",
+       62, 208},
+      {"SELECT ?city ?n WHERE { ?city rdf:type <City> . "
+       "?city <country> ?n . ?n <capital> ?cap }",
+       64, 128},
+      {"SELECT ?d WHERE { ?f <starring> <Antonio_Banderas> . "
+       "?f <director> ?d }",
+       2, 4},
+      {"SELECT ?g ?t WHERE { ?g rdf:type <Person> . ?g <hasChild> ?p . "
+       "?p <hasChild> ?c . ?c <playForTeam> ?t }",
+       20, 122},
+      {"SELECT ?x ?f WHERE { ?x <birthPlace> ?c . ?f <starring> ?a . "
+       "?a <spouse> ?x }",
+       101, 394},
+      {"SELECT ?f ?a ?d WHERE { ?f <starring> ?a . ?f <director> ?d }",
+       496, 496},
+  };
+  for (const Pinned& t : kTemplates) {
+    SCOPED_TRACE(t.text);
+    SparqlEngine::PlannerCounters before = engine.planner_counters();
+    auto r = engine.ExecuteText(t.text);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->rows.size(), t.rows);
+    EXPECT_EQ(engine.planner_counters().intermediate_bindings -
+                  before.intermediate_bindings,
+              t.bindings);
+  }
 }
 
 }  // namespace
