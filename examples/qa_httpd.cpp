@@ -1,17 +1,16 @@
 // qa_httpd — the production serving binary: snapshot in, HTTP out.
 //
-//   ./build/examples/qa_httpd --snapshot kb.snap --port 8080 \
-//       --threads 4 --max-queue 64
+//   ./build/examples/qa_httpd --snapshot kb.snap --port 8080 --threads 4
 //
 // Loads one store/snapshot file (build it with `snapshot_server build` or
 // `qa_httpd --build-demo-snapshot`), starts the QaService event loop, and
 // answers until SIGTERM/SIGINT:
 //
 //   curl localhost:8080/healthz
-//   curl -d '{"question": "Who is the mayor of Berlin ?"}' \
-//        localhost:8080/answer
-//   curl -d '{"query": "SELECT ?x WHERE { ?x <is_mayor_of> <Berlin> }"}' \
-//        localhost:8080/sparql
+//   q='{"question": "Who is the mayor of Berlin ?"}'
+//   curl -d "$q" localhost:8080/answer
+//   q='{"query": "SELECT ?x WHERE { ?x <is_mayor_of> <Berlin> }"}'
+//   curl -d "$q" localhost:8080/sparql
 //   curl localhost:8080/stats
 //
 // With --live DIR the snapshot only bootstraps a live store at DIR and the

@@ -24,35 +24,6 @@ double EstimateEdgeFanout(const rdf::GraphStats& stats,
   return cost;
 }
 
-const std::vector<rdf::TermId>* EdgeMemo::FindExpand(const QueryEdge* edge,
-                                                     int side,
-                                                     rdf::TermId u) const {
-  auto it = expand_.find(ExpandKey{edge, side, u});
-  return it == expand_.end() ? nullptr : &it->second;
-}
-
-const std::vector<rdf::TermId>& EdgeMemo::StoreExpand(
-    const QueryEdge* edge, int side, rdf::TermId u,
-    std::vector<rdf::TermId> result) {
-  return expand_
-      .insert_or_assign(ExpandKey{edge, side, u}, std::move(result))
-      .first->second;
-}
-
-std::optional<bool> EdgeMemo::FindConnects(const paraphrase::PredicatePath* path,
-                                           bool reversed, rdf::TermId from,
-                                           rdf::TermId to) const {
-  auto it = connects_.find(ConnectsKey{path, reversed, from, to});
-  if (it == connects_.end()) return std::nullopt;
-  return it->second;
-}
-
-void EdgeMemo::StoreConnects(const paraphrase::PredicatePath* path,
-                             bool reversed, rdf::TermId from, rdf::TermId to,
-                             bool connects) {
-  connects_.insert_or_assign(ConnectsKey{path, reversed, from, to}, connects);
-}
-
 namespace {
 
 using paraphrase::PathStep;
@@ -256,8 +227,7 @@ std::optional<double> CandidateSpace::EdgeDelta(const rdf::RdfGraph& graph,
                                                 const QueryEdge& edge,
                                                 int qv_from,
                                                 rdf::TermId u_from,
-                                                rdf::TermId u_to,
-                                                EdgeMemo* memo) {
+                                                rdf::TermId u_to) {
   bool u_is_arg1 = qv_from == edge.from;
   if (edge.wildcard) {
     // Any direct predicate, either direction.
@@ -278,24 +248,9 @@ std::optional<double> CandidateSpace::EdgeDelta(const rdf::RdfGraph& graph,
       connects = graph.HasTriple(u_from, p, u_to) ||
                  graph.HasTriple(u_to, p, u_from);
     } else {
-      // Multi-hop connectivity is the expensive probe (a walk per step);
-      // the memo keys it by the candidate path's identity plus the
-      // orientation actually walked.
-      const bool reversed = !u_is_arg1;
-      std::optional<bool> cached =
-          memo != nullptr
-              ? memo->FindConnects(&cand.path, reversed, u_from, u_to)
-              : std::nullopt;
-      if (cached.has_value()) {
-        connects = *cached;
-      } else {
-        const PredicatePath oriented =
-            u_is_arg1 ? cand.path : cand.path.Reversed();
-        connects = paraphrase::PathConnects(graph, u_from, u_to, oriented);
-        if (memo != nullptr) {
-          memo->StoreConnects(&cand.path, reversed, u_from, u_to, connects);
-        }
-      }
+      const PredicatePath oriented =
+          u_is_arg1 ? cand.path : cand.path.Reversed();
+      connects = paraphrase::PathConnects(graph, u_from, u_to, oriented);
     }
     if (connects) best = cand.confidence;
   }
@@ -306,7 +261,7 @@ std::vector<rdf::TermId> CandidateSpace::Expand(const rdf::RdfGraph& graph,
                                                 const QueryEdge& edge,
                                                 int side, rdf::TermId u) {
   // Collect everything, then one sort + unique: no per-call hash set, and
-  // the sorted output doubles as a canonical order for memoized reuse.
+  // the matcher extends in ascending neighbor id order.
   std::vector<rdf::TermId> out;
   if (edge.wildcard) {
     auto outs = graph.OutEdges(u);

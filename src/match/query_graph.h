@@ -59,8 +59,8 @@ struct Match {
 
 /// The pinned total order on matches: score descending, ties broken by the
 /// assignment vector lexicographically ascending. This is the ONE ranking
-/// every ranked-match producer must use — TopKMatcher's serial, parallel
-/// and memoized paths all sort with it, and the reference oracles under
+/// every ranked-match producer must use — TopKMatcher's serial and
+/// parallel paths both sort with it, and the reference oracles under
 /// tests/oracle/ compare against it — so equal-score matches come back in
 /// the same order everywhere.
 bool MatchOrder(const Match& a, const Match& b);

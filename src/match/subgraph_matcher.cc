@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 
 namespace ganswer {
@@ -11,16 +10,12 @@ namespace match {
 
 SubgraphMatcher::SubgraphMatcher(const rdf::RdfGraph* graph,
                                  const QueryGraph* query,
-                                 const CandidateSpace* space, EdgeMemo* memo,
-                                 const rdf::GraphStats* stats)
-    : graph_(graph),
-      query_(query),
-      space_(space),
-      memo_(memo),
-      graph_stats_(stats) {}
+                                 const CandidateSpace* space,
+                                 const rdf::GraphStats& stats)
+    : graph_(graph), query_(query), space_(space), graph_stats_(stats) {}
 
 double SubgraphMatcher::EdgeCost(const QueryEdge& edge) const {
-  return EstimateEdgeFanout(*graph_stats_, edge);
+  return EstimateEdgeFanout(graph_stats_, edge);
 }
 
 SubgraphMatcher::SearchPlan SubgraphMatcher::PlanFrom(int anchor_qv) const {
@@ -32,10 +27,9 @@ SubgraphMatcher::SearchPlan SubgraphMatcher::PlanFrom(int anchor_qv) const {
   plan.back_edges.emplace_back();  // anchor has no back edges
   visited[anchor_qv] = true;
 
-  // Greedy BFS preferring non-wildcard vertices (smaller domains first).
-  // With statistics, among equally-concrete vertices the one whose
-  // cheapest connecting edge has the lowest estimated fan-out is extended
-  // next; without, the tie-break is the back-edge count as before.
+  // Greedy BFS preferring non-wildcard vertices (smaller domains first);
+  // among equally-concrete vertices the one whose cheapest connecting edge
+  // has the lowest estimated fan-out is extended next.
   while (true) {
     int best = -1;
     std::vector<int> best_back;
@@ -51,12 +45,9 @@ SubgraphMatcher::SearchPlan SubgraphMatcher::PlanFrom(int anchor_qv) const {
         if (other >= 0 && visited[other]) back.push_back(static_cast<int>(e));
       }
       if (back.empty()) continue;  // not connected to the frontier yet
-      double cost = 0.0;
-      if (graph_stats_ != nullptr) {
-        cost = EdgeCost(query_->edges[back.front()]);
-        for (size_t bi = 1; bi < back.size(); ++bi) {
-          cost = std::min(cost, EdgeCost(query_->edges[back[bi]]));
-        }
+      double cost = EdgeCost(query_->edges[back.front()]);
+      for (size_t bi = 1; bi < back.size(); ++bi) {
+        cost = std::min(cost, EdgeCost(query_->edges[back[bi]]));
       }
       bool best_is_wildcard = best >= 0 && query_->vertices[best].wildcard;
       bool v_is_wildcard = query_->vertices[v].wildcard;
@@ -65,10 +56,8 @@ SubgraphMatcher::SearchPlan SubgraphMatcher::PlanFrom(int anchor_qv) const {
         better = true;
       } else if (best_is_wildcard != v_is_wildcard) {
         better = best_is_wildcard;  // concrete vertices before wildcards
-      } else if (graph_stats_ != nullptr) {
-        better = cost < best_cost;
       } else {
-        better = back.size() > best_back.size();
+        better = cost < best_cost;
       }
       if (better) {
         best = static_cast<int>(v);
@@ -77,16 +66,12 @@ SubgraphMatcher::SearchPlan SubgraphMatcher::PlanFrom(int anchor_qv) const {
       }
     }
     if (best < 0) break;  // rest of the query graph is disconnected
-    if (graph_stats_ != nullptr && best_back.size() > 1) {
-      // Expansion runs through back[0] and the rest only filter, so put
-      // the edge with the smallest estimated neighbor list first and
-      // check the cheapest filters before the expensive ones.
-      std::stable_sort(best_back.begin(), best_back.end(),
-                       [&](int a, int b) {
-                         return EdgeCost(query_->edges[a]) <
-                                EdgeCost(query_->edges[b]);
-                       });
-    }
+    // Expansion runs through back[0] and the rest only filter, so put the
+    // edge with the smallest estimated neighbor list first and check the
+    // cheapest filters before the expensive ones.
+    std::stable_sort(best_back.begin(), best_back.end(), [&](int a, int b) {
+      return EdgeCost(query_->edges[a]) < EdgeCost(query_->edges[b]);
+    });
     visited[best] = true;
     plan.order.push_back(best);
     plan.back_edges.push_back(std::move(best_back));
@@ -106,8 +91,7 @@ double SubgraphMatcher::ScoreAssignment(
     rdf::TermId uf = assignment[edge.from];
     rdf::TermId ut = assignment[edge.to];
     if (uf == rdf::kInvalidTerm || ut == rdf::kInvalidTerm) continue;
-    auto delta =
-        CandidateSpace::EdgeDelta(*graph_, edge, edge.from, uf, ut, memo_);
+    auto delta = CandidateSpace::EdgeDelta(*graph_, edge, edge.from, uf, ut);
     if (!delta.has_value() || *delta <= 0) return -1e18;
     score += std::log(*delta);
   }
@@ -130,22 +114,6 @@ void SubgraphMatcher::FindMatchesFrom(int anchor_qv, rdf::TermId anchor_u,
   used.insert(anchor_u);
   size_t found_at_entry = out->size();
 
-  // The memoized, sorted Expand list for (edge, side, u) — computed once
-  // per Ask and then served as a reference into the memo (values are
-  // stable across rehashes). `scratch` backs the memo-less path.
-  auto expand_via = [&](const QueryEdge& edge, int side, rdf::TermId u,
-                        std::vector<rdf::TermId>* scratch)
-      -> const std::vector<rdf::TermId>* {
-    if (memo_ == nullptr) {
-      *scratch = CandidateSpace::Expand(*graph_, edge, side, u);
-      return scratch;
-    }
-    const std::vector<rdf::TermId>* found = memo_->FindExpand(&edge, side, u);
-    if (found != nullptr) return found;
-    return &memo_->StoreExpand(&edge, side, u,
-                               CandidateSpace::Expand(*graph_, edge, side, u));
-  };
-
   std::function<void(size_t)> extend = [&](size_t depth) {
     if (limit > 0 && out->size() - found_at_entry >= limit) return;
     if (depth == plan.order.size()) {
@@ -166,13 +134,10 @@ void SubgraphMatcher::FindMatchesFrom(int anchor_qv, rdf::TermId anchor_u,
     const QueryEdge& first_edge = query_->edges[back[0]];
     int matched_side =
         first_edge.from == qv ? first_edge.to : first_edge.from;
-    std::vector<rdf::TermId> scratch;
-    const std::vector<rdf::TermId>* neighbors =
-        expand_via(first_edge, matched_side, assignment[matched_side],
-                   &scratch);
+    const std::vector<rdf::TermId> neighbors = CandidateSpace::Expand(
+        *graph_, first_edge, matched_side, assignment[matched_side]);
 
-    std::vector<rdf::TermId> filter_scratch;
-    for (rdf::TermId u : *neighbors) {
+    for (rdf::TermId u : neighbors) {
       ++stats_.expansions;
       if (!space_->VertexDelta(qv, u).has_value()) continue;
       // Injectivity: subgraph isomorphism maps query vertices to distinct
@@ -182,18 +147,9 @@ void SubgraphMatcher::FindMatchesFrom(int anchor_qv, rdf::TermId anchor_u,
       for (size_t bi = 1; bi < back.size() && edges_ok; ++bi) {
         const QueryEdge& e = query_->edges[back[bi]];
         int other = e.from == qv ? e.to : e.from;
-        if (memo_ != nullptr) {
-          // u connects to assignment[other] across e exactly when u is in
-          // the (sorted) Expand list from the other side — a memoized
-          // binary search instead of re-walking candidate paths.
-          const std::vector<rdf::TermId>* nb =
-              expand_via(e, other, assignment[other], &filter_scratch);
-          edges_ok = std::binary_search(nb->begin(), nb->end(), u);
-        } else {
-          edges_ok = CandidateSpace::EdgeDelta(*graph_, e, other,
-                                               assignment[other], u, memo_)
-                         .has_value();
-        }
+        edges_ok = CandidateSpace::EdgeDelta(*graph_, e, other,
+                                             assignment[other], u)
+                       .has_value();
       }
       if (!edges_ok) continue;
       assignment[qv] = u;

@@ -21,12 +21,12 @@ namespace match {
 /// target query vertex's candidate domain, the remaining connecting edges,
 /// and injectivity. Scores follow Definition 6.
 ///
-/// With GraphStats the visit order and the expansion edge at each step are
-/// chosen by ascending estimated fan-out (cheapest edge first), and the
-/// remaining back edges are checked cheapest first. The accepted match set
-/// and its enumeration order (ascending neighbor ids from the sorted
-/// Expand lists) are identical with or without statistics — only the work
-/// to reach them changes.
+/// The visit order and the expansion edge at each step are chosen by
+/// GraphStats' estimated fan-out (cheapest edge first), and the remaining
+/// back edges are checked cheapest first. The statistics only order the
+/// work: the accepted match set is fixed by the candidate space and the
+/// graph, and each step enumerates in ascending neighbor id order (the
+/// sorted Expand lists).
 class SubgraphMatcher {
  public:
   struct Stats {
@@ -34,15 +34,11 @@ class SubgraphMatcher {
     size_t complete_matches = 0;
   };
 
-  /// \p graph, \p query and \p space must outlive the matcher. \p memo,
-  /// when non-null, caches Expand() neighbor lists and multi-hop
-  /// connectivity probes across anchored searches over the same query —
-  /// pass the same memo to successive matchers (from one thread at a time)
-  /// so later TA rounds reuse the earlier rounds' walks. \p stats, when
-  /// non-null, steers the search plan by estimated edge fan-out.
+  /// \p graph, \p query, \p space and \p stats must outlive the matcher;
+  /// \p stats describes \p graph and steers the search plan by estimated
+  /// edge fan-out.
   SubgraphMatcher(const rdf::RdfGraph* graph, const QueryGraph* query,
-                  const CandidateSpace* space, EdgeMemo* memo = nullptr,
-                  const rdf::GraphStats* stats = nullptr);
+                  const CandidateSpace* space, const rdf::GraphStats& stats);
 
   /// Appends to \p out every match whose query vertex \p anchor_qv maps to
   /// graph vertex \p anchor_u, stopping after \p limit matches (0 = no
@@ -59,8 +55,8 @@ class SubgraphMatcher {
     /// Query vertices in visit order (anchor first).
     std::vector<int> order;
     /// For order[i] (i>0): edges connecting it to already-visited vertices,
-    /// cheapest estimated fan-out first when statistics are available; the
-    /// first is the expansion edge, the rest are membership filters.
+    /// cheapest estimated fan-out first; the first is the expansion edge,
+    /// the rest are membership filters.
     std::vector<std::vector<int>> back_edges;
   };
 
@@ -74,8 +70,7 @@ class SubgraphMatcher {
   const rdf::RdfGraph* graph_;
   const QueryGraph* query_;
   const CandidateSpace* space_;
-  EdgeMemo* memo_;
-  const rdf::GraphStats* graph_stats_;
+  const rdf::GraphStats& graph_stats_;
   mutable Stats stats_;
 };
 

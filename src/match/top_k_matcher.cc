@@ -30,7 +30,13 @@ TopKMatcher::TopKMatcher(const rdf::RdfGraph* graph)
     : TopKMatcher(graph, Options()) {}
 
 TopKMatcher::TopKMatcher(const rdf::RdfGraph* graph, Options options)
-    : graph_(graph), options_(options) {}
+    : graph_(graph), options_(options), stats_(options.stats) {
+  if (stats_ == nullptr) {
+    owned_stats_ =
+        std::make_unique<rdf::GraphStats>(rdf::GraphStats::Compute(*graph));
+    stats_ = owned_stats_.get();
+  }
+}
 
 StatusOr<std::vector<Match>> TopKMatcher::FindTopK(const QueryGraph& query,
                                                    RunStats* stats) const {
@@ -49,7 +55,7 @@ StatusOr<std::vector<Match>> TopKMatcher::FindTopK(const QueryGraph& query,
 
   CandidateSpace space =
       CandidateSpace::Build(*graph_, query, options_.neighborhood_pruning,
-                            options_.signatures, options_.stats);
+                            options_.signatures, stats_);
 
   std::vector<Match> all;
 
@@ -80,25 +86,17 @@ StatusOr<std::vector<Match>> TopKMatcher::FindTopK(const QueryGraph& query,
       if (stats != nullptr) *stats = local;
       return std::vector<Match>{};
     }
-    if (options_.stats != nullptr && cursor_vertex.size() > 1) {
-      // Anchor the smallest domains first: their anchored searches are the
-      // cheapest probes and they exhaust soonest, which is what ends the TA
-      // loop when early stop is off. Every cursor still runs every round,
-      // and duplicates carry identical (assignment, score) pairs, so the
-      // ranked output is unchanged by this ordering.
-      std::stable_sort(cursor_vertex.begin(), cursor_vertex.end(),
-                       [&](int a, int b) {
-                         return space.domain(a).items.size() <
-                                space.domain(b).items.size();
-                       });
-    }
+    // Anchor the smallest domains first: their anchored searches are the
+    // cheapest probes and they exhaust soonest, which is what ends the TA
+    // loop when early stop is off. Every cursor still runs every round, and
+    // duplicates carry identical (assignment, score) pairs, so the ranked
+    // output is unchanged by this ordering.
+    std::stable_sort(cursor_vertex.begin(), cursor_vertex.end(),
+                     [&](int a, int b) {
+                       return space.domain(a).items.size() <
+                              space.domain(b).items.size();
+                     });
     std::vector<size_t> cursor(cursor_vertex.size(), 0);
-    // One edge memo per cursor, persisting across TA rounds: round r+1's
-    // anchored search down a list re-walks much of round r's neighborhood,
-    // and the memo turns those repeats into hash lookups. Each round spawns
-    // at most one task per cursor, so a memo is only ever touched by one
-    // worker thread at a time.
-    std::vector<EdgeMemo> memos(cursor_vertex.size());
 
     std::set<std::vector<rdf::TermId>> seen;
     double edge_best_sum = BestEdgeLogSum(query);
@@ -138,7 +136,6 @@ StatusOr<std::vector<Match>> TopKMatcher::FindTopK(const QueryGraph& query,
       struct AnchorTask {
         int qv;
         rdf::TermId anchor;
-        size_t ci;  // owning cursor; selects the task's persistent memo
       };
       std::vector<AnchorTask> tasks;
       for (size_t ci = 0; ci < cursor_vertex.size(); ++ci) {
@@ -146,14 +143,13 @@ StatusOr<std::vector<Match>> TopKMatcher::FindTopK(const QueryGraph& query,
         const auto& items = space.domain(qv).items;
         if (cursor[ci] >= items.size()) continue;
         progress = true;
-        tasks.push_back({qv, items[cursor[ci]].vertex, ci});
+        tasks.push_back({qv, items[cursor[ci]].vertex});
       }
 
       std::vector<std::vector<Match>> found(tasks.size());
       std::vector<size_t> expansions(tasks.size(), 0);
       auto run_task = [&](size_t t) {
-        SubgraphMatcher matcher(graph_, &query, &space, &memos[tasks[t].ci],
-                                options_.stats);
+        SubgraphMatcher matcher(graph_, &query, &space, *stats_);
         matcher.FindMatchesFrom(tasks[t].qv, tasks[t].anchor,
                                 options_.max_matches_per_anchor, &found[t]);
         expansions[t] = matcher.stats().expansions;

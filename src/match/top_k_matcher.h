@@ -1,6 +1,7 @@
 #ifndef GANSWER_MATCH_TOP_K_MATCHER_H_
 #define GANSWER_MATCH_TOP_K_MATCHER_H_
 
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -31,7 +32,7 @@ namespace match {
 ///
 /// Result order is the pinned total order MatchOrder (query_graph.h): score
 /// descending, equal scores broken by assignment lexicographically — so the
-/// serial, parallel and memoized paths return byte-identical lists, and the
+/// serial and parallel paths return byte-identical lists, and the
 /// enumerate-and-rank oracle (tests/oracle/) can compare rank by rank.
 class TopKMatcher {
  public:
@@ -50,10 +51,11 @@ class TopKMatcher {
     /// as a fast pre-check by the neighborhood pruning. Must outlive the
     /// matcher. Results are identical with or without it.
     const rdf::SignatureIndex* signatures = nullptr;
-    /// Optional graph statistics (rdf/graph_stats.h) steering candidate
-    /// build order, anchor order and the per-search expansion plan by
-    /// estimated cost. Must outlive the matcher. Pure ordering heuristic:
-    /// the ranked matches are identical with or without it.
+    /// Graph statistics (rdf/graph_stats.h) steering candidate build
+    /// order, anchor order and the per-search expansion plan by estimated
+    /// cost; must describe the graph and outlive the matcher. When null the
+    /// constructor computes them (one pass over the graph). Pure ordering
+    /// heuristic: the ranked matches do not depend on them.
     const rdf::GraphStats* stats = nullptr;
     /// Parallelism for the per-round anchored searches: each round's cursor
     /// candidates fan out across a thread pool, every worker running an
@@ -71,7 +73,7 @@ class TopKMatcher {
     bool stopped_early = false;
   };
 
-  /// \p graph must be finalized and outlive the call.
+  /// \p graph must be finalized and outlive the matcher.
   explicit TopKMatcher(const rdf::RdfGraph* graph);
   TopKMatcher(const rdf::RdfGraph* graph, Options options);
 
@@ -87,6 +89,9 @@ class TopKMatcher {
  private:
   const rdf::RdfGraph* graph_;
   Options options_;
+  /// Computed by the constructor when options.stats is null.
+  std::unique_ptr<rdf::GraphStats> owned_stats_;
+  const rdf::GraphStats* stats_;  // never null after construction
 };
 
 }  // namespace match

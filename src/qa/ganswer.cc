@@ -32,15 +32,7 @@ GAnswer::GAnswer(const rdf::RdfGraph* graph, const nlp::Lexicon* lexicon,
     signatures_ = std::make_unique<rdf::SignatureIndex>(*graph);
     matching.signatures = signatures_.get();
   }
-  if (matching.stats == nullptr) {
-    if (options.graph_stats != nullptr) {
-      matching.stats = options.graph_stats;
-    } else {
-      stats_ = std::make_unique<rdf::GraphStats>(
-          rdf::GraphStats::Compute(*graph));
-      matching.stats = stats_.get();
-    }
-  }
+  if (matching.stats == nullptr) matching.stats = options.graph_stats;
   matcher_ = std::make_unique<match::TopKMatcher>(graph, matching);
   superlatives_ = std::make_unique<SuperlativeResolver>(graph);
   if (options.shared_cache != nullptr) {

@@ -71,8 +71,9 @@ class GAnswer {
     const linking::EntityIndex* entity_index = nullptr;
     /// Prebuilt graph statistics (rdf/graph_stats.h) steering candidate
     /// build and matcher plan order; must describe *graph and outlive the
-    /// system. When null the constructor computes them. Ordering-only: the
-    /// ranked answers are identical whatever statistics source is used.
+    /// system. Forwarded as matching.stats when that is null; when both are
+    /// null the matcher computes its own. Ordering-only: the ranked answers
+    /// are identical whatever statistics source is used.
     const rdf::GraphStats* graph_stats = nullptr;
     /// A question cache shared with other GAnswer instances (the live
     /// serving tier shares one cache across epoch views; stale-epoch
@@ -180,7 +181,6 @@ class GAnswer {
   std::unique_ptr<match::TopKMatcher> matcher_;
   std::unique_ptr<SuperlativeResolver> superlatives_;
   std::unique_ptr<rdf::SignatureIndex> signatures_;
-  std::unique_ptr<rdf::GraphStats> stats_;
   /// Online-path result cache; null when question_cache_capacity == 0 and
   /// no shared cache was supplied. Possibly shared across systems (live
   /// epoch views). Mutable: Ask() is logically const and the cache is

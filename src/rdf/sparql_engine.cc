@@ -707,15 +707,6 @@ StatusOr<std::string> SparqlEngine::ExplainPlan(const SparqlQuery& query) const 
 }
 
 std::string SparqlQuery::ToString() const {
-  auto term_text = [](const PatternTerm& t) -> std::string {
-    if (t.is_var) return "?" + t.text;
-    if (t.kind == TermKind::kLiteral) return "\"" + t.text + "\"";
-    if (t.text.find(':') != std::string::npos &&
-        t.text.find("://") == std::string::npos) {
-      return t.text;  // prefixed name
-    }
-    return "<" + t.text + ">";
-  };
   std::string out;
   if (form == Form::kAsk) {
     out = "ASK";
@@ -730,8 +721,7 @@ std::string SparqlQuery::ToString() const {
   }
   out += " WHERE { ";
   for (const TriplePattern& tp : patterns) {
-    out += term_text(tp.subject) + " " + term_text(tp.predicate) + " " +
-           term_text(tp.object) + " . ";
+    out += RenderPattern(tp) + " . ";
   }
   out += "}";
   if (order_by.has_value()) {

@@ -155,7 +155,9 @@ TEST(LiveChaosTest, ReadersNeverBlockAndNeverSeeTornState) {
     auto result = (*kb)->Apply(ops);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     committed = result->epoch;
-    if (i % 50 == 17) ASSERT_TRUE((*kb)->Compact().ok());
+    if (i % 50 == 17) {
+      ASSERT_TRUE((*kb)->Compact().ok());
+    }
   }
 
   stop.store(true, std::memory_order_relaxed);

@@ -48,7 +48,8 @@ TEST(SubgraphMatcherTest, AnchoredSearchFindsAllMatchesContainingAnchor) {
   q.edges = {e};
 
   CandidateSpace space = CandidateSpace::Build(g, q, false);
-  SubgraphMatcher matcher(&g, &q, &space);
+  const rdf::GraphStats stats = rdf::GraphStats::Compute(g);
+  SubgraphMatcher matcher(&g, &q, &space, stats);
   std::vector<Match> out;
   matcher.FindMatchesFrom(0, *g.Find("a"), 0, &out);
   // a participates as arg1 in (a,b) via forward and (a,c) via Def-3 reverse.
@@ -71,7 +72,8 @@ TEST(SubgraphMatcherTest, InjectivityForbidsVertexReuse) {
   e.candidates = {Entry(g, "loop", true, 1.0)};
   q.edges = {e};
   CandidateSpace space = CandidateSpace::Build(g, q, false);
-  SubgraphMatcher matcher(&g, &q, &space);
+  const rdf::GraphStats stats = rdf::GraphStats::Compute(g);
+  SubgraphMatcher matcher(&g, &q, &space, stats);
   std::vector<Match> out;
   matcher.FindMatchesFrom(0, *g.Find("n"), 0, &out);
   ASSERT_EQ(out.size(), 1u) << "the self-loop n->n is not a valid match";
@@ -85,7 +87,8 @@ TEST(SubgraphMatcherTest, AnchorOutsideDomainYieldsNothing) {
   u.candidates = {Cand(g, "a", 1.0)};
   q.vertices = {u};
   CandidateSpace space = CandidateSpace::Build(g, q, false);
-  SubgraphMatcher matcher(&g, &q, &space);
+  const rdf::GraphStats stats = rdf::GraphStats::Compute(g);
+  SubgraphMatcher matcher(&g, &q, &space, stats);
   std::vector<Match> out;
   matcher.FindMatchesFrom(0, *g.Find("b"), 0, &out);
   EXPECT_TRUE(out.empty());
@@ -105,7 +108,8 @@ TEST(SubgraphMatcherTest, MultipleBackEdgesAllChecked) {
   QueryEdge e3{2, 0, {Entry(g, "p", true, 1.0)}, false, 0.3};
   q.edges = {e1, e2, e3};
   CandidateSpace space = CandidateSpace::Build(g, q, false);
-  SubgraphMatcher matcher(&g, &q, &space);
+  const rdf::GraphStats stats = rdf::GraphStats::Compute(g);
+  SubgraphMatcher matcher(&g, &q, &space, stats);
   std::vector<Match> out;
   matcher.FindMatchesFrom(0, *g.Find("a"), 0, &out);
   // Triangle a-b-c closes (Def-3 either-direction makes rotations valid);
@@ -133,7 +137,8 @@ TEST(SubgraphMatcherTest, LimitStopsEnumeration) {
   QueryEdge e{0, 1, {Entry(g, "p", true, 1.0)}, false, 0.3};
   q.edges = {e};
   CandidateSpace space = CandidateSpace::Build(g, q, false);
-  SubgraphMatcher matcher(&g, &q, &space);
+  const rdf::GraphStats stats = rdf::GraphStats::Compute(g);
+  SubgraphMatcher matcher(&g, &q, &space, stats);
   std::vector<Match> out;
   matcher.FindMatchesFrom(0, *g.Find("hub"), 4, &out);
   EXPECT_EQ(out.size(), 4u);
@@ -150,7 +155,8 @@ TEST(SubgraphMatcherTest, DisconnectedQueryMatchesAnchorComponentOnly) {
   QueryEdge e{0, 1, {Entry(g, "p", true, 1.0)}, false, 0.3};
   q.edges = {e};
   CandidateSpace space = CandidateSpace::Build(g, q, false);
-  SubgraphMatcher matcher(&g, &q, &space);
+  const rdf::GraphStats stats = rdf::GraphStats::Compute(g);
+  SubgraphMatcher matcher(&g, &q, &space, stats);
   std::vector<Match> out;
   matcher.FindMatchesFrom(0, *g.Find("a"), 0, &out);
   ASSERT_FALSE(out.empty());

@@ -242,17 +242,25 @@ QueryGraph PersonQuery(const rdf::RdfGraph& g) {
   work.candidates = {{id(datagen::cls::kWork), true, 0.7}};
   who.wildcard = true;
   query.vertices = {person, place, work, who};
-  QueryEdge born{.from = 0, .to = 1};
+  QueryEdge born;
+  born.from = 0;
+  born.to = 1;
   born.candidates = {single(datagen::pred::kBirthPlace, 0.9)};
-  QueryEdge died{.from = 0, .to = 1};
+  QueryEdge died;
+  died.from = 0;
+  died.to = 1;
   died.candidates = {single(datagen::pred::kDeathPlace, 0.8)};
-  QueryEdge starring{.from = 2, .to = 0};
+  QueryEdge starring;
+  starring.from = 2;
+  starring.to = 0;
   paraphrase::ParaphraseEntry two_hop;
   two_hop.path.steps = {{id(datagen::pred::kStarring), true},
                         {id(datagen::pred::kBirthPlace), true}};
   two_hop.confidence = 0.5;
   starring.candidates = {single(datagen::pred::kStarring, 0.6), two_hop};
-  QueryEdge any{.from = 2, .to = 3};
+  QueryEdge any;
+  any.from = 2;
+  any.to = 3;
   any.wildcard = true;
   query.edges = {born, died, starring, any};
   return query;

@@ -109,8 +109,12 @@ TEST(PipelinePropertyTest, QuestionCacheDoesNotChangeAnswers) {
       auto hit = cached.Ask(q);
       ExpectSameResponse(want, miss, q);
       ExpectSameResponse(want, hit, q);
-      if (hit.ok()) EXPECT_TRUE(hit->cache_hit) << q;
-      if (miss.ok()) EXPECT_FALSE(miss->cache_hit) << q;
+      if (hit.ok()) {
+        EXPECT_TRUE(hit->cache_hit) << q;
+      }
+      if (miss.ok()) {
+        EXPECT_FALSE(miss->cache_hit) << q;
+      }
     }
     auto stats = cached.cache_stats();
     EXPECT_GT(stats.hits, 0u);
